@@ -32,7 +32,7 @@ test-quick:
 ## Byte-compile every source tree (catches syntax/IO rot without
 ## third-party linters, which the offline image does not ship).
 lint:
-	$(PYTHON) -m compileall -q src tests tools benchmarks examples
+	$(PYTHON) -m compileall -q src tests tools benchmarks examples perfbench
 
 ## Execute every fenced python block in the documentation.
 docs-check:

@@ -4,10 +4,12 @@ The fourth evaluation backend.  Where :mod:`repro.simulate` models the
 paper's single-switch testbed (endpoint contention only), this package
 makes the fabric explicit: capacitated link graphs
 (:mod:`repro.net.topology`), a progressive-filling max-min fair-share
-solver (:mod:`repro.net.flows`), batched collective schedules
-(:mod:`repro.net.collectives`), a topology-aware BSP engine
-(:mod:`repro.net.engine`) and the :class:`NetworkBackend` that plugs it
-all into scenarios, sweeps, the planner and the service.
+solver (:mod:`repro.net.flows`) whose :class:`FlowNetwork` speaks the
+same batch contract as the endpoint network — so the one set of
+collective schedules in :mod:`repro.simulate.collectives` runs over it
+unchanged — a topology-aware BSP engine (:mod:`repro.net.engine`) and
+the :class:`NetworkBackend` that plugs it all into scenarios, sweeps,
+the planner and the service.
 """
 
 from repro.net.backend import NetworkBackend, topology_items

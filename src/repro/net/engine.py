@@ -1,30 +1,25 @@
 """The BSP superstep engine over an explicit topology.
 
-Mirrors :class:`~repro.simulate.bsp.BSPEngine` phase for phase —
-framework overhead, torrent broadcast, jittered compute, aggregation
-collective — but routes every transfer through the flow-level
-:class:`~repro.net.flows.FlowNetwork` instead of the endpoint-contention
-network.  The superstep structure, node numbering (0 is the driver),
-jitter stream (``stream(seed, "bsp-jitter")``) and the returned
-:class:`~repro.simulate.bsp.BSPReport` are identical, so the two
-engines are drop-in comparable: on a ``single-switch`` topology their
-schedules coincide and the differential harness asserts it.
+:class:`~repro.simulate.bsp.BSPEngine` with the flow-level
+:class:`~repro.net.flows.FlowNetwork` installed: every superstep phase,
+the node numbering (0 is the driver), the jitter stream and the
+:class:`~repro.simulate.bsp.BSPReport` are inherited; only the
+contention discipline differs.  On a ``single-switch`` topology the two
+engines' schedules coincide and the differential harness asserts it.
 """
 
 from __future__ import annotations
 
 from repro.core.errors import SimulationError
 from repro.hardware.specs import NodeSpec
-from repro.net import collectives
-from repro.net.flows import FlowNetwork, FlowRequest, TcpThroughputModel
+from repro.net.flows import FlowNetwork, TcpThroughputModel
 from repro.net.topology import Topology
-from repro.simulate.bsp import BSPReport, SuperstepPlan
+from repro.simulate.bsp import BSPEngine
 from repro.simulate.overhead import NO_OVERHEAD, FrameworkOverhead
-from repro.simulate.rng import JitterModel, LogNormalJitter, stream
-from repro.simulate.trace import ComputeRecord, Trace
+from repro.simulate.rng import JitterModel, LogNormalJitter
 
 
-class FlowBSPEngine:
+class FlowBSPEngine(BSPEngine):
     """Simulates BSP supersteps on a cluster with an explicit fabric."""
 
     def __init__(
@@ -38,136 +33,11 @@ class FlowBSPEngine:
         tcp: TcpThroughputModel | None = None,
         keep_trace: bool = True,
     ):
-        if workers < 1:
-            raise SimulationError(f"workers must be >= 1, got {workers}")
+        self._setup(node, workers, overhead, jitter, seed, keep_trace)
         if topology.host_count != workers + 1:
             raise SimulationError(
                 f"topology holds {topology.host_count} hosts;"
                 f" workers={workers} needs {workers + 1} (driver + workers)"
             )
-        self.node = node
         self.topology = topology
-        self.workers = workers
-        self.overhead = overhead
-        self.jitter = jitter
-        self.seed = seed
-        self.trace = Trace() if keep_trace else None
         self.network = FlowNetwork(topology, tcp=tcp)
-        self._jitter_rng = stream(seed, "bsp-jitter")
-
-    @property
-    def driver(self) -> int:
-        """Node id of the dedicated driver."""
-        return 0
-
-    @property
-    def worker_ids(self) -> list[int]:
-        """Node ids of the workers."""
-        return list(range(1, self.workers + 1))
-
-    def run(self, plan: SuperstepPlan, iterations: int) -> BSPReport:
-        """Execute ``iterations`` supersteps of ``plan``."""
-        if iterations < 1:
-            raise SimulationError(f"iterations must be >= 1, got {iterations}")
-        loads = plan.loads(self.workers)
-        iteration_seconds: list[float] = []
-        compute_spans: list[float] = []
-        communication_spans: list[float] = []
-        barrier = 0.0
-        for _iteration in range(iterations):
-            # Flows of past supersteps are fully drained at the barrier;
-            # dropping their reservations keeps the ledger small.
-            self.network.advance(barrier)
-            end, compute_span = self._superstep(plan, loads, barrier)
-            iteration_seconds.append(end - barrier)
-            compute_spans.append(compute_span)
-            communication_spans.append(max(0.0, (end - barrier) - compute_span))
-            barrier = end
-        return BSPReport(
-            workers=self.workers,
-            iteration_seconds=iteration_seconds,
-            trace=self.trace if self.trace is not None else Trace(),
-            compute_spans=compute_spans,
-            communication_spans=communication_spans,
-        )
-
-    def _superstep(
-        self, plan: SuperstepPlan, loads: list[float], barrier: float
-    ) -> tuple[float, float]:
-        dispatch = barrier + self.overhead.delay(self.workers)
-
-        # Phase 1: parameter broadcast (torrent-like).
-        if plan.broadcast_bits > 0:
-            holds_at = collectives.binomial_broadcast(
-                self.network,
-                root=self.driver,
-                root_ready=dispatch,
-                targets=self.worker_ids,
-                bits=plan.broadcast_bits,
-                tag="broadcast",
-            )
-            task_start = {w: holds_at[w] for w in self.worker_ids}
-        else:
-            task_start = {w: dispatch for w in self.worker_ids}
-
-        # Phase 2: per-worker computation with straggler jitter.
-        ready: dict[int, float] = {}
-        first_start = min(task_start.values())
-        last_finish = first_start
-        for worker, operations in zip(self.worker_ids, loads):
-            duration = self.node.seconds_for(operations) * self.jitter.sample(self._jitter_rng)
-            start = task_start[worker]
-            finish = start + duration
-            ready[worker] = finish
-            last_finish = max(last_finish, finish)
-            if self.trace is not None:
-                self.trace.record_compute(
-                    ComputeRecord(
-                        node=worker, operations=operations, start=start, end=finish, tag="task"
-                    )
-                )
-        compute_span = last_finish - barrier
-
-        # Phase 3: aggregation.
-        if plan.aggregate_bits <= 0 or plan.aggregation == "none":
-            return last_finish, compute_span
-        if plan.aggregation == "linear":
-            end = collectives.linear_gather(
-                self.network, ready, self.driver, plan.aggregate_bits, tag="aggregate"
-            )
-        elif plan.aggregation == "gather_root":
-            end = collectives.linear_gather(
-                self.network, ready, min(ready), plan.aggregate_bits, tag="aggregate"
-            )
-        elif plan.aggregation == "tree_root":
-            _root, end = collectives.tree_reduce(
-                self.network, ready, plan.aggregate_bits, tag="aggregate"
-            )
-        elif plan.aggregation == "tree":
-            root, root_time = collectives.tree_reduce(
-                self.network, ready, plan.aggregate_bits, tag="aggregate"
-            )
-            [outcome] = self.network.batch(
-                [
-                    FlowRequest(
-                        root,
-                        self.driver,
-                        plan.aggregate_bits,
-                        not_before=root_time,
-                        tag="aggregate",
-                    )
-                ]
-            )
-            end = outcome.end
-        elif plan.aggregation == "two_wave":
-            end = collectives.two_wave_aggregate(
-                self.network, ready, self.driver, plan.aggregate_bits, tag="aggregate"
-            )
-        elif plan.aggregation == "ring":
-            finish_times = collectives.ring_allreduce(
-                self.network, ready, plan.aggregate_bits, tag="aggregate"
-            )
-            end = max(finish_times.values())
-        else:  # pragma: no cover - guarded in SuperstepPlan
-            raise SimulationError(f"unhandled aggregation {plan.aggregation!r}")
-        return end, compute_span

@@ -39,7 +39,8 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 from repro.core.errors import SimulationError
-from repro.simulate.network import TransferOutcome
+# FlowRequest is defined with the endpoint network and re-exported here.
+from repro.simulate.network import FlowRequest, Request, TransferOutcome  # noqa: F401
 
 #: Relative tolerance for "this flow's remaining bits are done" and for
 #: bottleneck-share comparisons.  Purely a float-noise guard; all the
@@ -327,25 +328,15 @@ class TcpThroughputModel:
         return tcp_throughput_cap_bps(rtt_s, self.loss_rate, self.mss_bytes)
 
 
-@dataclass(frozen=True)
-class FlowRequest:
-    """One host-to-host transfer the BSP engine asks the network for."""
-
-    source: int
-    destination: int
-    bits: float
-    not_before: float = 0.0
-    tag: str = ""
-
-
 class FlowNetwork:
     """A topology plus a reservation ledger: the engine-facing surface.
 
     :meth:`batch` solves one dependency round of transfers with true
     max-min sharing among them, commits the resulting rate profiles as
     reservations, and returns :class:`TransferOutcome` objects in
-    request order — the same contract the endpoint network's
-    ``transfer`` gives, lifted to batches.
+    request order.  This is the batch contract
+    (:class:`~repro.simulate.network.Fabric`) the endpoint network also
+    implements, so the same collectives and BSP engine run over both.
     """
 
     def __init__(self, topology, tcp: TcpThroughputModel | None = None):
@@ -365,36 +356,32 @@ class FlowNetwork:
         """Drop reservations that ended at or before ``time``."""
         self.ledger.prune(time)
 
-    def batch(self, requests: Sequence[FlowRequest]) -> list[TransferOutcome]:
+    def batch(self, requests: Sequence[Request]) -> list[TransferOutcome]:
         """Solve one round of concurrent transfers; returns outcomes in order."""
         outcomes: list[TransferOutcome | None] = [None] * len(requests)
         flows: list[Flow] = []
         flow_slots: list[int] = []
-        for slot, request in enumerate(requests):
-            if request.bits < 0:
-                raise SimulationError(f"bits must be non-negative, got {request.bits}")
-            if request.not_before < 0:
-                raise SimulationError(
-                    f"not_before must be non-negative, got {request.not_before}"
-                )
-            if request.source == request.destination:
-                outcomes[slot] = TransferOutcome(
-                    start=request.not_before, end=request.not_before
-                )
+        for slot, (source, destination, bits, not_before, tag) in enumerate(requests):
+            if bits < 0:
+                raise SimulationError(f"bits must be non-negative, got {bits}")
+            if not_before < 0:
+                raise SimulationError(f"not_before must be non-negative, got {not_before}")
+            if source == destination:
+                outcomes[slot] = TransferOutcome(not_before, not_before)
                 continue
-            route = self.topology.route(request.source, request.destination)
-            latency = self.topology.route_latency(request.source, request.destination)
+            route = self.topology.route(source, destination)
+            latency = self.topology.route_latency(source, destination)
             cap = math.inf
             if self.tcp is not None:
                 cap = self.tcp.cap_bps(2.0 * latency)
             flows.append(
                 Flow(
                     route=route,
-                    bits=request.bits,
-                    not_before=request.not_before,
+                    bits=bits,
+                    not_before=not_before,
                     latency_s=latency,
                     rate_cap_bps=cap,
-                    tag=request.tag,
+                    tag=tag,
                 )
             )
             flow_slots.append(slot)

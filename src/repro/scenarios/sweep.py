@@ -59,9 +59,9 @@ level, so a re-run of an identical spec is a pure file map, and a run
 whose grid merely *overlaps* a stored one schedules only the missing
 points and merges the rest column-wise (``stats["points_reused"]``
 proves the delta).  ``refine`` mode trades grid density for targeted
-evaluations instead (:mod:`repro.store.refine`).  The older whole-blob
-JSON cache (:mod:`repro.scenarios.cache`) remains for service request
-payloads.
+evaluations instead (:mod:`repro.store.refine`).  The store is the
+only persistence layer sweeps use; the service's sweeps go through it
+too.
 """
 
 from __future__ import annotations
@@ -91,7 +91,6 @@ from repro.sched import (
     worker_store,
 )
 from repro.core.speedup import SpeedupCurve
-from repro.scenarios.cache import ResultCache
 from repro.scenarios.compile import compile_point, is_expensive
 from repro.scenarios.spec import ScenarioSpec, parse_scenario
 from repro.store.columnar import LazyPoints, ResultStore, StorePlan
@@ -509,8 +508,9 @@ class SweepRunner:
     max_workers:
         Pool size for process mode; ``None`` uses the CPU count.
     cache_dir:
-        Cache directory; ``None`` uses the default (see
-        :mod:`repro.scenarios.cache`).
+        Directory the result store lives under; ``None`` uses the
+        store's default (``$REPRO_SCENARIO_CACHE`` or
+        ``~/.cache/repro/scenarios``, see :mod:`repro.store.columnar`).
     use_cache:
         Set ``False`` to always recompute (results are still not written).
     cpus:
@@ -549,7 +549,6 @@ class SweepRunner:
         self.mode = mode
         self.max_workers = max_workers
         self.use_cache = use_cache
-        self.cache = ResultCache(cache_dir)
         self.store = store if store is not None else ResultStore(cache_dir)
         self.refine = refine
         self.cpus = cpus if cpus is not None else available_cpus()

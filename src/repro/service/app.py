@@ -105,7 +105,11 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
     # -- request plumbing --------------------------------------------------
 
     def _read_body(self) -> object:
-        length = int(self.headers.get("Content-Length", 0) or 0)
+        declared = self.headers.get("Content-Length", 0) or 0
+        try:
+            length = int(declared)
+        except ValueError:
+            raise ReproError(f"Content-Length must be an integer, got {declared!r}") from None
         if length <= 0:
             raise ReproError("request needs a JSON body (Content-Length missing)")
         if length > MAX_BODY_BYTES:
@@ -118,6 +122,8 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             return json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
             raise ReproError(f"request body is not valid JSON: {error}")
+        except RecursionError:
+            raise ReproError("request body nests too deeply to parse") from None
 
     def _dispatch(self, kind: str, handle, metered: bool = True) -> None:
         """Admission, execution, and the full error-to-status mapping."""

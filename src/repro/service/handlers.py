@@ -308,6 +308,16 @@ def _reject_unknown_keys(body: Mapping, allowed: Sequence[str], context: str) ->
         )
 
 
+def _worker_count(entry: object) -> int:
+    """One ``workers`` list entry as a count (``int()`` semantics)."""
+    try:
+        return int(entry)  # type: ignore[call-overload]
+    except (TypeError, ValueError, OverflowError):
+        raise ServiceError(
+            f"'workers' entries must be worker counts; got {entry!r}"
+        ) from None
+
+
 def _require_body(body: object, context: str) -> Mapping:
     if not isinstance(body, Mapping):
         raise ServiceError(f"{context} body must be a JSON object")
@@ -469,7 +479,9 @@ class EvaluationService:
             if isinstance(workers, str):
                 spec = with_workers(spec, parse_worker_grid(workers))
             elif isinstance(workers, Sequence):
-                spec = with_workers(spec, [int(n) for n in workers])
+                if not workers:
+                    raise ServiceError("'workers' must list at least one count")
+                spec = with_workers(spec, [_worker_count(n) for n in workers])
             else:
                 raise ServiceError(
                     "'workers' must be a grid string (e.g. 'log:1:64:12') or"

@@ -28,7 +28,7 @@ from repro.core.errors import SimulationError
 from repro.hardware.specs import LinkSpec, NodeSpec
 from repro.simulate import collectives
 from repro.simulate.events import EventQueue
-from repro.simulate.network import Network
+from repro.simulate.network import Fabric, Network
 from repro.simulate.overhead import NO_OVERHEAD, FrameworkOverhead
 from repro.simulate.rng import JitterModel, LogNormalJitter, stream
 from repro.simulate.trace import ComputeRecord, Trace
@@ -108,7 +108,13 @@ class BSPReport:
 
 
 class BSPEngine:
-    """Simulates BSP supersteps on a homogeneous cluster."""
+    """Simulates BSP supersteps on a homogeneous cluster.
+
+    Transfers go through the batch contract
+    (:class:`~repro.simulate.network.Fabric`) of the endpoint
+    :class:`~repro.simulate.network.Network`;
+    :class:`~repro.net.engine.FlowBSPEngine` swaps in a flow-level one.
+    """
 
     def __init__(
         self,
@@ -120,17 +126,29 @@ class BSPEngine:
         seed: int = 0,
         keep_trace: bool = True,
     ):
+        self._setup(node, workers, overhead, jitter, seed, keep_trace)
+        self.link = link
+        # Node 0 is the driver; 1..workers are the workers.
+        self.network: Fabric = Network(link, workers + 1, trace=self.trace)
+
+    def _setup(
+        self,
+        node: NodeSpec,
+        workers: int,
+        overhead: FrameworkOverhead,
+        jitter: JitterModel,
+        seed: int,
+        keep_trace: bool,
+    ) -> None:
+        """Everything but the fabric, which each engine class installs."""
         if workers < 1:
             raise SimulationError(f"workers must be >= 1, got {workers}")
         self.node = node
-        self.link = link
         self.workers = workers
         self.overhead = overhead
         self.jitter = jitter
         self.seed = seed
         self.trace = Trace() if keep_trace else None
-        # Node 0 is the driver; 1..workers are the workers.
-        self.network = Network(link, workers + 1, trace=self.trace)
         self.clock = EventQueue()
         self._jitter_rng = stream(seed, "bsp-jitter")
 
@@ -154,6 +172,9 @@ class BSPEngine:
         communication_spans: list[float] = []
         barrier = self.clock.now
         for _iteration in range(iterations):
+            # Transfers of past supersteps are fully drained at the
+            # barrier; the fabric may drop what it kept of them.
+            self.network.advance(barrier)
             end, compute_span = self._superstep(plan, loads, barrier)
             iteration_seconds.append(end - barrier)
             compute_spans.append(compute_span)
@@ -175,13 +196,9 @@ class BSPEngine:
 
         # Phase 1: parameter broadcast (torrent-like).
         if plan.broadcast_bits > 0:
+            bits = plan.broadcast_bits
             holds_at = collectives.binomial_broadcast(
-                self.network,
-                root=self.driver,
-                root_ready=dispatch,
-                targets=self.worker_ids,
-                bits=plan.broadcast_bits,
-                tag="broadcast",
+                self.network, self.driver, dispatch, self.worker_ids, bits, "broadcast"
             )
             task_start = {w: holds_at[w] for w in self.worker_ids}
         else:
@@ -208,36 +225,23 @@ class BSPEngine:
         # Phase 3: aggregation.
         if plan.aggregate_bits <= 0 or plan.aggregation == "none":
             return last_finish, compute_span
+        network, bits, tag = self.network, plan.aggregate_bits, "aggregate"
         if plan.aggregation == "linear":
-            end = collectives.linear_gather(
-                self.network, ready, self.driver, plan.aggregate_bits, tag="aggregate"
-            )
+            end = collectives.linear_gather(network, ready, self.driver, bits, tag)
         elif plan.aggregation == "gather_root":
             # Lowest worker is the master: its own payload never crosses
             # the network, so n workers cost n - 1 serialised transfers.
-            end = collectives.linear_gather(
-                self.network, ready, min(ready), plan.aggregate_bits, tag="aggregate"
-            )
+            end = collectives.linear_gather(network, ready, min(ready), bits, tag)
         elif plan.aggregation == "tree_root":
-            _root, end = collectives.tree_reduce(
-                self.network, ready, plan.aggregate_bits, tag="aggregate"
-            )
+            _root, end = collectives.tree_reduce(network, ready, bits, tag)
         elif plan.aggregation == "tree":
-            root, root_time = collectives.tree_reduce(
-                self.network, ready, plan.aggregate_bits, tag="aggregate"
-            )
-            end = self.network.transfer(
-                root, self.driver, plan.aggregate_bits, not_before=root_time, tag="aggregate"
-            ).end
+            # Reduce among the workers, then one hop to the driver.
+            root, root_time = collectives.tree_reduce(network, ready, bits, tag)
+            end = collectives.linear_gather(network, {root: root_time}, self.driver, bits, tag)
         elif plan.aggregation == "two_wave":
-            end = collectives.two_wave_aggregate(
-                self.network, ready, self.driver, plan.aggregate_bits, tag="aggregate"
-            )
+            end = collectives.two_wave_aggregate(network, ready, self.driver, bits, tag)
         elif plan.aggregation == "ring":
-            finish_times = collectives.ring_allreduce(
-                self.network, ready, plan.aggregate_bits, tag="aggregate"
-            )
-            end = max(finish_times.values())
+            end = max(collectives.ring_allreduce(network, ready, bits, tag).values())
         else:  # pragma: no cover - guarded in SuperstepPlan
             raise SimulationError(f"unhandled aggregation {plan.aggregation!r}")
         return end, compute_span

@@ -1,4 +1,4 @@
-"""Collective communication operations over the simulated network.
+"""Collective communication schedules over either network fabric.
 
 These implement, at the transfer level, the communication patterns whose
 closed-form time complexities live in :mod:`repro.core.communication`:
@@ -14,9 +14,16 @@ closed-form time complexities live in :mod:`repro.core.communication`:
 * :func:`all_to_all_shuffle` — the Hadoop/Spark repartitioning pattern.
 
 Each function takes node *ready times* (when the payload became available
-on each node), requests the individual transfers from the network in
-dependency order, and returns completion times.  Endpoint contention is
-handled by the network; these functions only encode the schedules.
+on each node), issues the schedule one dependency round at a time through
+the batch contract (:class:`~repro.simulate.network.Fabric`: one
+``batch`` of transfer requests per round, outcomes back in request
+order), and returns completion times.
+The schedule is written once and runs over either fabric: the endpoint
+:class:`~repro.simulate.network.Network` serialises a round's transfers
+per NIC port in request order, the flow-level
+:class:`~repro.net.flows.FlowNetwork` shares the links among them
+max-min.  Within every round senders and receivers are disjoint, so a
+round never depends on its own outcomes.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ import math
 from collections.abc import Mapping, Sequence
 
 from repro.core.errors import SimulationError
-from repro.simulate.network import Network
+from repro.simulate.network import Fabric
 
 
 def _validate_nodes(nodes: Sequence[int]) -> list[int]:
@@ -37,8 +44,25 @@ def _validate_nodes(nodes: Sequence[int]) -> list[int]:
     return node_list
 
 
+def _round(
+    network: Fabric,
+    pairs: Sequence[tuple[int, int]],
+    bits: float,
+    ready: Mapping[int, float],
+    tag: str,
+) -> list[float]:
+    """Issue one round of ``(sender, receiver)`` transfers as one batch.
+
+    Each transfer starts no earlier than its sender's ``ready`` time;
+    returns the delivery times in ``pairs`` order.
+    """
+    # Plain ``Request`` tuples: the per-transfer hot path of every engine.
+    requests = [(sender, receiver, bits, ready[sender], tag) for sender, receiver in pairs]
+    return [outcome.end for outcome in network.batch(requests)]
+
+
 def linear_gather(
-    network: Network,
+    network: Fabric,
     ready: Mapping[int, float],
     sink: int,
     bits: float,
@@ -46,50 +70,47 @@ def linear_gather(
 ) -> float:
     """All sources send their payload to ``sink``; returns the finish time.
 
-    Transfers serialise on the sink's downlink; sources are served in
-    ready-time order (earliest data first), which is both fair and the
-    conservative discrete-event order.
+    One round.  Sources are issued in ready-time order (earliest data
+    first), which is both fair and the conservative discrete-event order:
+    the endpoint network serialises them on the sink's downlink, the flow
+    network shares the sink's ingress among them.
     """
-    sources = _validate_nodes(list(ready))
+    sources = sorted(_validate_nodes(list(ready)), key=lambda node: (ready[node], node))
+    pairs = [(source, sink) for source in sources if source != sink]
     finish = max(ready[sink], 0.0) if sink in ready else 0.0
-    for source in sorted(sources, key=lambda node: (ready[node], node)):
-        if source == sink:
-            continue
-        outcome = network.transfer(source, sink, bits, not_before=ready[source], tag=tag)
-        finish = max(finish, outcome.end)
-    return finish
+    return max([finish, *_round(network, pairs, bits, ready, tag)])
 
 
 def tree_reduce(
-    network: Network,
+    network: Fabric,
     ready: Mapping[int, float],
     bits: float,
     tag: str = "tree-reduce",
 ) -> tuple[int, float]:
     """Binary combining tree; returns ``(root, finish_time)``.
 
-    Pairs at distance 1, 2, 4, ... combine; the partial aggregate always
-    flows to the lower-indexed member, so the first node ends up with the
-    result after ``ceil(log2 n)`` rounds.
+    Pairs at distance 1, 2, 4, ... combine, one round per distance; the
+    partial aggregate always flows to the lower-indexed member, so the
+    first node ends up with the result after ``ceil(log2 n)`` rounds.
     """
     nodes = sorted(_validate_nodes(list(ready)))
     current_ready = {node: ready[node] for node in nodes}
     distance = 1
     while distance < len(nodes):
-        for index in range(0, len(nodes) - distance, 2 * distance):
-            receiver = nodes[index]
-            sender = nodes[index + distance]
-            outcome = network.transfer(
-                sender, receiver, bits, not_before=current_ready[sender], tag=tag
-            )
-            current_ready[receiver] = max(current_ready[receiver], outcome.end)
+        pairs = [
+            (nodes[index + distance], nodes[index])
+            for index in range(0, len(nodes) - distance, 2 * distance)
+        ]
+        ends = _round(network, pairs, bits, current_ready, tag)
+        for (_sender, receiver), end in zip(pairs, ends):
+            current_ready[receiver] = max(current_ready[receiver], end)
         distance *= 2
     root = nodes[0]
     return root, current_ready[root]
 
 
 def binomial_broadcast(
-    network: Network,
+    network: Fabric,
     root: int,
     root_ready: float,
     targets: Sequence[int],
@@ -114,19 +135,15 @@ def binomial_broadcast(
         # One round: every current holder serves one waiting node.  Holders
         # with earlier payload availability are matched first.
         holders = sorted(holds_at, key=lambda node: (holds_at[node], node))
-        for holder in holders:
-            if not waiting:
-                break
-            receiver = waiting.pop(0)
-            outcome = network.transfer(
-                holder, receiver, bits, not_before=holds_at[holder], tag=tag
-            )
-            holds_at[receiver] = outcome.end
+        pairs = [(holder, waiting.pop(0)) for holder in holders[: len(waiting)]]
+        ends = _round(network, pairs, bits, holds_at, tag)
+        for (_holder, receiver), end in zip(pairs, ends):
+            holds_at[receiver] = end
     return holds_at
 
 
 def two_wave_aggregate(
-    network: Network,
+    network: Fabric,
     ready: Mapping[int, float],
     driver: int,
     bits: float,
@@ -134,11 +151,12 @@ def two_wave_aggregate(
 ) -> float:
     """Spark ``treeAggregate`` with two waves; returns the driver finish time.
 
-    Workers are split into ``ceil(sqrt(n))`` groups.  Wave 1: members of
-    each group send to the group leader (groups proceed in parallel, each
-    leader's downlink serialises its own group).  Wave 2: leaders send the
-    partial aggregates to the driver, serialising on the driver's
-    downlink.  Matches the paper's ``2 * (64W/B) * ceil(sqrt(n))`` shape.
+    Workers are split into ``ceil(sqrt(n))`` groups.  Wave 1 (one round):
+    members of each group send to the group leader — groups proceed in
+    parallel, each leader's ingress is its own group's bottleneck.  Wave 2
+    (one round): leaders send the partial aggregates to the driver, whose
+    ingress they share.  Matches the paper's ``2 * (64W/B) * ceil(sqrt(n))``
+    shape.
     """
     workers = sorted(_validate_nodes(list(ready)))
     if driver in workers:
@@ -147,26 +165,22 @@ def two_wave_aggregate(
     groups = [workers[start::group_count] for start in range(group_count)]
     groups = [group for group in groups if group]
 
-    leader_ready: dict[int, float] = {}
-    for group in groups:
-        leader = group[0]
-        finish = ready[leader]
-        for member in sorted(group[1:], key=lambda node: (ready[node], node)):
-            outcome = network.transfer(member, leader, bits, not_before=ready[member], tag=tag)
-            finish = max(finish, outcome.end)
-        leader_ready[leader] = finish
+    wave_one = [
+        (member, group[0])
+        for group in groups
+        for member in sorted(group[1:], key=lambda node: (ready[node], node))
+    ]
+    leader_ready = {group[0]: ready[group[0]] for group in groups}
+    for (_member, leader), end in zip(wave_one, _round(network, wave_one, bits, ready, tag)):
+        leader_ready[leader] = max(leader_ready[leader], end)
 
-    driver_finish = 0.0
-    for leader in sorted(leader_ready, key=lambda node: (leader_ready[node], node)):
-        outcome = network.transfer(
-            leader, driver, bits, not_before=leader_ready[leader], tag=tag
-        )
-        driver_finish = max(driver_finish, outcome.end)
-    return driver_finish
+    leaders = sorted(leader_ready, key=lambda node: (leader_ready[node], node))
+    wave_two = [(leader, driver) for leader in leaders]
+    return max([0.0, *_round(network, wave_two, bits, leader_ready, tag)])
 
 
 def ring_allreduce(
-    network: Network,
+    network: Fabric,
     ready: Mapping[int, float],
     bits: float,
     tag: str = "ring",
@@ -184,21 +198,16 @@ def ring_allreduce(
     if count == 1:
         return current_ready
     chunk = bits / count
-    for _round in range(2 * (count - 1)):
-        ends: dict[int, float] = {}
-        for index, node in enumerate(nodes):
-            successor = nodes[(index + 1) % count]
-            outcome = network.transfer(
-                node, successor, chunk, not_before=current_ready[node], tag=tag
-            )
-            ends[successor] = outcome.end
-        for node, end in ends.items():
-            current_ready[node] = max(current_ready[node], end)
+    pairs = list(zip(nodes, nodes[1:] + nodes[:1]))
+    for _step in range(2 * (count - 1)):
+        ends = _round(network, pairs, chunk, current_ready, tag)
+        for (_node, successor), end in zip(pairs, ends):
+            current_ready[successor] = max(current_ready[successor], end)
     return current_ready
 
 
 def all_to_all_shuffle(
-    network: Network,
+    network: Fabric,
     ready: Mapping[int, float],
     total_bits: float,
     tag: str = "shuffle",
@@ -213,16 +222,12 @@ def all_to_all_shuffle(
         raise SimulationError(f"total_bits must be non-negative, got {total_bits}")
     nodes = sorted(_validate_nodes(list(ready)))
     count = len(nodes)
-    current_ready = {node: ready[node] for node in nodes}
+    finish = {node: ready[node] for node in nodes}
     if count == 1:
-        return current_ready
+        return finish
     pair_bits = total_bits / (count * count)
-    finish = dict(current_ready)
     for offset in range(1, count):
-        for index, node in enumerate(nodes):
-            receiver = nodes[(index + offset) % count]
-            outcome = network.transfer(
-                node, receiver, pair_bits, not_before=current_ready[node], tag=tag
-            )
-            finish[receiver] = max(finish[receiver], outcome.end)
+        pairs = list(zip(nodes, nodes[offset:] + nodes[:offset]))
+        for (_node, receiver), end in zip(pairs, _round(network, pairs, pair_bits, ready, tag)):
+            finish[receiver] = max(finish[receiver], end)
     return finish

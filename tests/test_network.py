@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.errors import SimulationError
 from repro.hardware.specs import LinkSpec
-from repro.simulate.network import Network
+from repro.simulate.network import FlowRequest, Network
 from repro.simulate.trace import Trace
 
 
@@ -117,3 +117,38 @@ class TestTracing:
         net.transfer(0, 1, 1e9)
         assert trace.total_bits_transferred == 2e9
         assert trace.summary()["transfers"] == 2
+
+
+class TestBatch:
+    REQUESTS = [
+        FlowRequest(0, 1, 1e9, not_before=0.5, tag="a"),
+        FlowRequest(2, 1, 5e8, tag="b"),  # queues behind "a" on node 1's downlink
+        FlowRequest(3, 3, 1e9, not_before=2.0, tag="loop"),
+        FlowRequest(1, 0, 2e9, not_before=1.0, tag="c"),
+    ]
+
+    @pytest.mark.parametrize("full_duplex", [True, False])
+    def test_matches_the_equivalent_transfers_in_request_order(self, full_duplex):
+        serial_trace, batch_trace = Trace(), Trace()
+        serial = make_network(latency=0.1, full_duplex=full_duplex, trace=serial_trace)
+        batched = make_network(latency=0.1, full_duplex=full_duplex, trace=batch_trace)
+        expected = [
+            serial.transfer(r.source, r.destination, r.bits, not_before=r.not_before, tag=r.tag)
+            for r in self.REQUESTS
+        ]
+        assert batched.batch(self.REQUESTS) == expected
+        assert batch_trace.transfers == serial_trace.transfers
+        assert [record.tag for record in batch_trace.transfers] == ["a", "b", "c"]
+
+    def test_empty_batch_is_a_noop(self):
+        net = make_network()
+        assert net.batch([]) == []
+        assert net.uplink_free_at(0) == 0.0
+
+    def test_advance_keeps_port_state(self):
+        net = make_network()
+        net.transfer(0, 1, 1e9)
+        net.advance(5.0)
+        assert net.uplink_free_at(0) == pytest.approx(1.0)
+        (outcome,) = net.batch([FlowRequest(0, 2, 1e9)])
+        assert outcome.start == pytest.approx(1.0)

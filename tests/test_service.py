@@ -263,6 +263,54 @@ class TestEndToEndRoundTrip:
         finally:
             connection.close()
 
+    @pytest.mark.parametrize(
+        "body,content_length,message",
+        [
+            (b"{not json", None, "not valid JSON"),
+            (b"\xff\xfe{}", None, "not valid JSON"),
+            (b"[" * 50000 + b"]" * 50000, None, "nests too deeply"),
+            (b'{"scenario": "figure2"}', "abc", "Content-Length must be an integer"),
+        ],
+        ids=["syntax", "not-utf8", "deep-nesting", "content-length-not-numeric"],
+    )
+    @pytest.mark.parametrize(
+        "path", ["/v1/evaluate", "/v1/sweep", "/v1/plan", "/v1/calibrate"]
+    )
+    def test_malformed_body_is_400(self, server, path, body, content_length, message):
+        import http.client
+
+        host, port = server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            connection.putrequest("POST", path)
+            connection.putheader("Content-Type", "application/json")
+            connection.putheader(
+                "Content-Length", content_length or str(len(body))
+            )
+            connection.endheaders(body)
+            response = connection.getresponse()
+            payload = json.loads(response.read())
+        finally:
+            connection.close()
+        assert response.status == 400
+        assert payload["error"]["code"] == "bad-request"
+        assert message in payload["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "workers,named",
+        [(["a"], "'a'"), ([2, None], "None"), ([[1]], "[1]"), ([], "at least one")],
+        ids=["text", "null", "nested", "empty"],
+    )
+    @pytest.mark.parametrize("method", ["evaluate", "sweep"])
+    def test_bad_worker_entries_are_400(self, client, method, workers, named):
+        with pytest.raises(ServiceClientError) as excinfo:
+            client._request(
+                "POST", f"/v1/{method}", {"scenario": "figure2", "workers": workers}
+            )
+        assert excinfo.value.status == 400
+        assert excinfo.value.code == "bad-request"
+        assert named in str(excinfo.value)
+
 
 class TestHotPathCaching:
     """The acceptance criterion: repeats hit the compiled-target LRU."""
