@@ -29,6 +29,10 @@ from repro.service import (
     create_server,
 )
 from repro.service.jobs import JobStore, ServiceError
+from tests.keepalive import (
+    assert_keepalive_round_trips_are_fast,
+    assert_unread_error_body_closes,
+)
 
 SMALL_SWEEP = {
     "name": "service-test-sweep",
@@ -212,31 +216,10 @@ class TestEndToEndRoundTrip:
             )
 
     def test_unread_error_body_does_not_corrupt_keepalive(self, server):
-        # A POST to an unknown route is answered 404 without the body
-        # being read; on a keep-alive connection the unread bytes would
-        # otherwise be parsed as the next request line.  The server must
-        # close such connections (Connection: close) so the next request
-        # on a fresh connection is answered normally.
-        import http.client
+        assert_unread_error_body_closes(*server.server_address[:2])
 
-        host, port = server.server_address[:2]
-        connection = http.client.HTTPConnection(host, port, timeout=10)
-        try:
-            connection.request(
-                "POST", "/v1/nope", body=json.dumps({"scenario": "figure2"})
-            )
-            response = connection.getresponse()
-            assert response.status == 404
-            assert response.headers.get("Connection") == "close"
-            response.read()
-            # http.client reopens the closed connection transparently;
-            # the follow-up must be a clean 200, not request-line soup.
-            connection.request("GET", "/healthz")
-            follow_up = connection.getresponse()
-            assert follow_up.status == 200
-            follow_up.read()
-        finally:
-            connection.close()
+    def test_keepalive_round_trips_do_not_stall(self, server):
+        assert_keepalive_round_trips_are_fast(*server.server_address[:2])
 
     def test_validation_errors_keep_the_connection_alive(self, server):
         # Errors raised *after* the body was consumed must not force a

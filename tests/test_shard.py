@@ -45,6 +45,10 @@ from repro.service.shard import (
 )
 from repro.service.wire import canonical_json
 from repro.store import ResultStore
+from tests.keepalive import (
+    assert_keepalive_round_trips_are_fast,
+    assert_unread_error_body_closes,
+)
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -82,6 +86,14 @@ SIMULATED_SWEEP = {
     "workers": [1, 2],
     "backend": {"kind": "simulated", "simulation": {"iterations": 1, "seed": 0}},
     "sweep": {"bandwidth_bps": [1e9, 2e9]},
+}
+
+#: Overrides that make a SIMULATED_SWEEP job run for seconds, so the
+#: jobs queued behind it cannot finish before a test kills its worker.
+LONG_SIMULATED_GRID = {
+    "workers": list(range(1, 65)),
+    "backend": {"kind": "simulated", "simulation": {"iterations": 200, "seed": 0}},
+    "sweep": {"bandwidth_bps": [1e9, 2e9, 4e9, 8e9]},
 }
 
 
@@ -129,6 +141,17 @@ class TestSupervisorLifecycle:
                 block = ServiceClient(record["control_url"]).health()["result"]
                 slots.add(block["workers"]["slot"])
             assert slots == {0, 1}
+        finally:
+            assert supervisor.stop() == 0
+
+    def test_keepalive_transport(self, tmp_path):
+        # The WorkerServer path: answers on a reused connection must not
+        # stall, and an unread error body must still close it.
+        supervisor = make_supervisor(tmp_path, workers=2)
+        try:
+            host, port = supervisor.url.removeprefix("http://").split(":")
+            assert_keepalive_round_trips_are_fast(host, int(port))
+            assert_unread_error_body_closes(host, int(port))
         finally:
             assert supervisor.stop() == 0
 
@@ -483,16 +506,26 @@ class TestJobRouting:
             owner = records[0]
             client = ServiceClient(owner["control_url"], timeout_s=30)
             # job_workers=1: the second and third submits queue behind
-            # the first, so at least two jobs are non-terminal when the
-            # owner dies.
-            job_ids = [
-                client.sweep(
-                    {**SIMULATED_SWEEP, "name": f"shard-orphan-{index}"},
-                    mode="async",
-                    wait=False,
-                )["result"]["job"]
-                for index in range(3)
+            # the first.  The first runs for seconds (a large grid), so
+            # once one of them reads 'queued' it is still non-terminal
+            # when the owner dies.
+            specs = [
+                {**SIMULATED_SWEEP, **LONG_SIMULATED_GRID, "name": "shard-orphan-0"},
+                {**SIMULATED_SWEEP, "name": "shard-orphan-1"},
+                {**SIMULATED_SWEEP, "name": "shard-orphan-2"},
             ]
+            job_ids = [
+                client.sweep(spec, mode="async", wait=False)["result"]["job"]
+                for spec in specs
+            ]
+            wait_for(
+                lambda: any(
+                    client.job(job_id)["result"]["status"] == "queued"
+                    for job_id in job_ids
+                ),
+                timeout_s=10,
+                message="a queued job on the owner",
+            )
             os.kill(owner["pid"], signal.SIGKILL)
             wait_for(
                 lambda: slot_pids(supervisor.control_dir).get(owner["slot"])
