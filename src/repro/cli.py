@@ -600,35 +600,26 @@ def _run_trace_command(args: argparse.Namespace) -> int:
 
 
 def _run_cache_command(args: argparse.Namespace) -> int:
-    """``scenario cache stats|clear|gc`` over both storage layers."""
-    from repro.scenarios.cache import ResultCache
+    """``scenario cache stats|clear|gc`` over the columnar store."""
     from repro.store import ResultStore
 
-    cache = ResultCache(args.cache_dir)
     store = ResultStore(args.cache_dir)
     if args.cache_command == "stats":
         disk = store.disk_stats()
-        blobs = (
-            len(list(cache.directory.glob("*.json")))
-            if cache.directory.exists()
-            else 0
-        )
         print(f"store directory: {store.directory}")
         print(f"  families:      {disk['families']}")
         print(f"  views:         {disk['views']}")
         print(f"  points stored: {disk['points_stored']}")
         print(f"  bytes stored:  {disk['bytes_stored']}")
         print(f"  temp files:    {disk['temp_files']}")
-        print(f"blob entries:    {blobs}")
         return 0
     if args.cache_command == "clear":
-        removed = store.clear() + cache.clear()
+        removed = store.clear()
         print(f"removed {removed} entr{'y' if removed == 1 else 'ies'}")
         return 0
     # gc: garbage only — live entries and fresh staging files survive.
     max_age = args.max_age if args.max_age is not None else 3600.0
     counts = store.gc(max_age_s=max_age)
-    counts["stale_temps"] += cache.gc(max_age_s=max_age)
     for name, count in counts.items():
         print(f"{name.replace('_', ' ')}: {count}")
     return 0

@@ -134,10 +134,10 @@ class EvaluationBackend(ABC):
     name: ClassVar[str] = "abstract"
 
     #: True when a grid point's time depends only on its own worker
-    #: count — the property that makes union evaluation (``curves``),
-    #: shared-buffer serving (:mod:`repro.store.union`) and progressive
-    #: refinement (:mod:`repro.store.refine`) sound.  The calibrated
-    #: backend opts out: its fit couples every point of a grid.
+    #: count — the property that makes union evaluation (``curves``, the
+    #: service coalescer's one shared evaluation per batch) and
+    #: progressive refinement (:mod:`repro.store.refine`) sound.  The
+    #: calibrated backend opts out: its fit couples every point of a grid.
     pointwise: ClassVar[bool] = True
 
     def __init_subclass__(cls, **kwargs) -> None:

@@ -26,9 +26,7 @@ Terms compose into trees with combinators:
   :meth:`CostTerm.decompose`.
 
 ``decompose(workers)`` walks the tree and returns labeled component
-arrays that sum to ``times(workers)`` — the generic replacement for
-hand-written per-model ``computation_time`` / ``communication_time``
-methods.
+arrays that sum to ``times(workers)``.
 """
 
 from __future__ import annotations
@@ -488,9 +486,9 @@ class OverheadCost(CostTerm):
 class NamedCost(CostTerm):
     """Label a subtree: one named entry in ``decompose()``.
 
-    ``kind`` classifies the component for the generic
-    ``computation_time`` / ``communication_time`` aliases; when omitted
-    it is inherited from the subtree if all its components agree.
+    ``kind`` classifies the component (e.g. ``"computation"`` or
+    ``"communication"``); when omitted it is inherited from the subtree
+    if all its components agree.
     """
 
     name: str

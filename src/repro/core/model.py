@@ -17,7 +17,6 @@ batched entry point falls back to a point-by-point loop for them.
 
 from __future__ import annotations
 
-import warnings
 from abc import ABC
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
@@ -124,50 +123,6 @@ class ScalabilityModel(ABC):
         if self._has_cost_tree():
             return merge_components(self._cost_tree()._components(grid))
         return {"total": self.times(grid)}
-
-    def _kind_time(self, kind: str, workers: int, alias: str) -> float:
-        """Scalar total of the components classified as ``kind``."""
-        if workers < 1:
-            raise ModelError(f"workers must be >= 1, got {workers}")
-        if not self._has_cost_tree():
-            raise ModelError(
-                f"{type(self).__name__} has no cost tree; {alias}() is only"
-                " available for term-tree models — use decompose() instead"
-            )
-        grid = np.asarray([workers], dtype=float)
-        components = self._cost_tree()._components(grid)
-        matching = [c for c in components if c.kind == kind]
-        if not matching:
-            raise ModelError(
-                f"{type(self).__name__} has no {kind} component;"
-                f" components: {[c.name for c in components]}"
-            )
-        return float(sum(float(c.values[0]) for c in matching))
-
-    def computation_time(self, workers: int) -> float:
-        """Deprecated: total of the computation-kind terms.
-
-        Use ``decompose(workers)`` instead; this alias survives for the
-        decomposition plots written against the old per-model methods.
-        """
-        warnings.warn(
-            "computation_time() is deprecated; use decompose()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._kind_time("computation", workers, "computation_time")
-
-    def communication_time(self, workers: int) -> float:
-        """Deprecated: total of the communication-kind terms.
-
-        Use ``decompose(workers)`` instead.
-        """
-        warnings.warn(
-            "communication_time() is deprecated; use decompose()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._kind_time("communication", workers, "communication_time")
 
     def baseline_time(self, baseline_workers: int = 1) -> float:
         """``t(baseline)``, cached per instance.

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +30,36 @@ def _evaluate_times(source: TimeSource, workers: Sequence[int]) -> list[float]:
     if hasattr(source, "times"):
         return [float(t) for t in source.times(np.asarray(workers, dtype=float))]
     return [float(source(n)) for n in workers]
+
+
+def derive_curve(
+    times: Sequence[float] | np.ndarray,
+    workers: Sequence[int] | np.ndarray,
+    baseline_time: float,
+    baseline_workers: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(speedups, efficiencies)`` of one curve, as float64 arrays.
+
+    The one place the paper's arithmetic lives: ``s(n) = t(b) / t(n)``,
+    then ``e(n) = s(n) * b / n`` — in that operation order, so numpy's
+    IEEE-double results equal the Python-float expressions
+    ``[t_b / t for t in times]`` and ``[s * b / n ...]`` bit for bit.
+    """
+    # Python floats overflow to inf silently; so does this.
+    with np.errstate(over="ignore"):
+        speedups = baseline_time / np.asarray(times, dtype=float)
+        efficiencies = speedups * baseline_workers / np.asarray(workers, dtype=float)
+    return speedups, efficiencies
+
+
+class _Derived(NamedTuple):
+    """Everything a :class:`SpeedupCurve` derives from its times."""
+
+    speedups: tuple[float, ...]
+    efficiencies: tuple[float, ...]
+    peak_speedup: float
+    optimal_workers: int
+    is_scalable: bool
 
 
 @dataclass(frozen=True)
@@ -108,16 +139,42 @@ class SpeedupCurve:
         return cls(workers_t, times_t, baseline_time, baseline_workers, label)
 
     @property
+    def _derived(self) -> _Derived:
+        """The derived values, computed once per (frozen) instance.
+
+        Cached by hand, not with ``functools.cached_property``: before
+        Python 3.12 that serialises the first access of *every* instance
+        behind one class-wide lock, across all of the service's threads.
+        """
+        derived = self.__dict__.get("_derived_cache")
+        if derived is None:
+            speedups, efficiencies = derive_curve(
+                self.times, self.workers, self.baseline_time, self.baseline_workers
+            )
+            speedups_t = tuple(speedups.tolist())
+            peak = max(speedups_t)
+            derived = _Derived(
+                speedups=speedups_t,
+                efficiencies=tuple(efficiencies.tolist()),
+                peak_speedup=peak,
+                optimal_workers=min(
+                    n for n, s in zip(self.workers, speedups_t) if s == peak
+                ),
+                is_scalable=any(s > 1.0 + 1e-12 for s in speedups_t),
+            )
+            # Works on the frozen dataclass: the cache is not a field.
+            object.__setattr__(self, "_derived_cache", derived)
+        return derived
+
+    @property
     def speedups(self) -> tuple[float, ...]:
         """``s(n) = t(baseline) / t(n)`` for every grid point."""
-        return tuple(self.baseline_time / t for t in self.times)
+        return self._derived.speedups
 
     @property
     def efficiencies(self) -> tuple[float, ...]:
         """Parallel efficiency ``s(n) * baseline_workers / n``."""
-        return tuple(
-            s * self.baseline_workers / n for s, n in zip(self.speedups, self.workers)
-        )
+        return self._derived.efficiencies
 
     def speedup_at(self, workers: int) -> float:
         """Speedup at one grid point; raises if the point is absent."""
@@ -137,9 +194,7 @@ class SpeedupCurve:
         Tie detection uses exact float equality; nearly-equal points are
         distinct points.
         """
-        speedups = self.speedups
-        peak = self.peak_speedup
-        return min(n for n, s in zip(self.workers, speedups) if s == peak)
+        return self._derived.optimal_workers
 
     def knee(self, fraction: float = 0.95) -> int:
         """Smallest worker count reaching ``fraction`` of the peak speedup.
@@ -160,12 +215,12 @@ class SpeedupCurve:
     @property
     def peak_speedup(self) -> float:
         """``max s(n)`` over the grid."""
-        return max(self.speedups)
+        return self._derived.peak_speedup
 
     @property
     def is_scalable(self) -> bool:
         """True if some grid point beats the baseline (``s(k) > 1``)."""
-        return any(s > 1.0 + 1e-12 for s in self.speedups)
+        return self._derived.is_scalable
 
     def rows(self) -> list[dict[str, float]]:
         """Tabular form for reports: one dict per grid point."""

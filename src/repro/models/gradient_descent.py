@@ -19,7 +19,6 @@ batched ``times``, generic ``decompose`` and the speedup helpers from
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from repro.core.communication import LinearCommunication, TorrentBroadcast, TwoWaveAggregation
@@ -157,24 +156,6 @@ class SparkGradientDescentModel(_GradientDescentBase):
                 NamedCost("aggregation", aggregation, kind="communication"),
             )
         )
-
-    def broadcast_time(self, workers: int) -> float:
-        """Deprecated: the ``broadcast`` entry of :meth:`decompose`."""
-        warnings.warn(
-            "broadcast_time() is deprecated; use decompose()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return float(self.decompose([workers])["broadcast"][0])
-
-    def aggregation_time(self, workers: int) -> float:
-        """Deprecated: the ``aggregation`` entry of :meth:`decompose`."""
-        warnings.warn(
-            "aggregation_time() is deprecated; use decompose()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return float(self.decompose([workers])["aggregation"][0])
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ and export them as JSON/CSV.  See ``docs/scenarios.md`` for the schema
 and the bundled examples under ``repro/scenarios/builtin/``.
 """
 
-from repro.scenarios.cache import ResultCache, default_cache_dir
 from repro.scenarios.calibrate import (
     FamilyFit,
     ScenarioCalibration,
@@ -52,6 +51,7 @@ from repro.scenarios.sweep import (
     export_format,
     run_scenario,
 )
+from repro.store import default_cache_dir
 
 __all__ = [
     "ALGORITHM_KINDS",
@@ -60,7 +60,6 @@ __all__ = [
     "TOPOLOGIES",
     "BackendSection",
     "FamilyFit",
-    "ResultCache",
     "ScenarioCalibration",
     "ScenarioSpec",
     "SweepResult",

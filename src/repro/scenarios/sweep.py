@@ -142,6 +142,27 @@ def expand_grid(spec: ScenarioSpec) -> list[dict[str, object]]:
     return [dict(zip(axes, combo)) for combo in itertools.product(*value_lists)]
 
 
+def curve_record(curve: SpeedupCurve) -> dict:
+    """A curve's eight payload keys, ``workers`` … ``is_scalable``, in wire order.
+
+    Every curve-bearing payload — sweep points, refined points and the
+    service's ``/v1/evaluate`` result — splices these in right after
+    ``backend_config``; exports and wire bytes serialise in insertion
+    order, and :func:`repro.store.columnar.materialize_point` rebuilds
+    the same order from a stored row.
+    """
+    return {
+        "workers": list(curve.workers),
+        "times_s": list(curve.times),
+        "speedups": list(curve.speedups),
+        "efficiencies": list(curve.efficiencies),
+        "baseline_workers": curve.baseline_workers,
+        "optimal_workers": curve.optimal_workers,
+        "peak_speedup": curve.peak_speedup,
+        "is_scalable": curve.is_scalable,
+    }
+
+
 def evaluate_point(spec: ScenarioSpec, overrides: Mapping[str, object]) -> dict:
     """Compile one grid point and evaluate its speedup curve.
 
@@ -161,14 +182,7 @@ def evaluate_point(spec: ScenarioSpec, overrides: Mapping[str, object]) -> dict:
         "overrides": dict(overrides),
         "backend": backend.name,
         "backend_config": backend.config(),
-        "workers": list(curve.workers),
-        "times_s": list(curve.times),
-        "speedups": list(curve.speedups),
-        "efficiencies": list(curve.efficiencies),
-        "baseline_workers": curve.baseline_workers,
-        "optimal_workers": curve.optimal_workers,
-        "peak_speedup": curve.peak_speedup,
-        "is_scalable": curve.is_scalable,
+        **curve_record(curve),
     }
 
 
@@ -794,14 +808,7 @@ class SweepRunner:
                 "overrides": dict(overrides),
                 "backend": backend.name,
                 "backend_config": backend.config(),
-                "workers": list(curve.workers),
-                "times_s": list(curve.times),
-                "speedups": list(curve.speedups),
-                "efficiencies": list(curve.efficiencies),
-                "baseline_workers": curve.baseline_workers,
-                "optimal_workers": curve.optimal_workers,
-                "peak_speedup": curve.peak_speedup,
-                "is_scalable": curve.is_scalable,
+                **curve_record(curve),
             }
 
         points = [refined_point(overrides) for overrides in grid]

@@ -54,6 +54,7 @@ from repro.scenarios import (
 )
 from repro.scenarios.grids import parse_worker_grid, with_workers
 from repro.scenarios.spec import ENGINE_VERSION, SCHEMA_VERSION, ScenarioSpec
+from repro.scenarios.sweep import curve_record
 from repro.service.jobs import (
     JobStore,
     ServiceError,
@@ -61,7 +62,7 @@ from repro.service.jobs import (
     ServiceOverloaded,
 )
 from repro.service.wire import WIRE_VERSION
-from repro.store import ResultStore, evaluate_union
+from repro.store import ResultStore
 
 #: Body keys each POST endpoint accepts (unknown keys are rejected —
 #: a typo'd option must fail, not be silently ignored).
@@ -249,19 +250,15 @@ class Coalescer:
         members = self._close(key, batch)
         try:
             requests = [(m.grid, m.baseline) for m in members]
+            curves = backend.curves(target, requests, label=label)
             if getattr(backend, "pointwise", True):
-                # Zero-copy serving: the union grid lands in ONE shared
-                # time buffer and every member's curve is an index view
-                # into it (repro.store.union) — same evaluation the old
-                # curves() union did, minus the per-member array copies.
-                curves, union_size = evaluate_union(
-                    backend, target, requests, label=label or target.label
-                )
-                self._shared_points.inc(union_size)
-            else:
-                # A calibrated fit couples every point of its grid;
-                # each member keeps its own evaluation.
-                curves = backend.curves(target, requests, label=label)
+                # curves() evaluated the union of grids and baselines in
+                # one shared buffer (a calibrated fit couples every point
+                # of its grid, so it evaluates each member on its own).
+                union = {m.baseline for m in members}
+                for waiting in members:
+                    union.update(waiting.grid)
+                self._shared_points.inc(len(union))
             for waiting, curve in zip(members, curves):
                 waiting.curve = curve
             batch.backend = backend
@@ -572,14 +569,7 @@ class EvaluationService:
             "content_hash": point_hash,
             "backend": backend.name,
             "backend_config": backend.config(),
-            "workers": list(curve.workers),
-            "times_s": list(curve.times),
-            "speedups": list(curve.speedups),
-            "efficiencies": list(curve.efficiencies),
-            "baseline_workers": curve.baseline_workers,
-            "optimal_workers": curve.optimal_workers,
-            "peak_speedup": curve.peak_speedup,
-            "is_scalable": curve.is_scalable,
+            **curve_record(curve),
         }
         meta = {
             "cache": {"request": request_cache_state, "target": target_cache_state["state"]},

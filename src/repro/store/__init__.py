@@ -1,13 +1,11 @@
-"""Columnar result store, zero-copy union serving, grid refinement.
+"""Columnar result store and grid refinement.
 
 ``repro.store`` is a leaf package: it imports numpy and ``repro.core``
-errors only, never ``repro.scenarios`` (which imports *it*).  The three
-modules are independently useful:
+only, never ``repro.scenarios`` (which imports *it*).  The two modules
+are independently useful:
 
 - :mod:`repro.store.columnar` — the memory-mapped point-level store
   under :class:`repro.scenarios.sweep.SweepRunner`;
-- :mod:`repro.store.union` — shared-buffer curve views for the service
-  coalescer;
 - :mod:`repro.store.refine` — progressive worker-grid refinement.
 """
 
@@ -15,21 +13,20 @@ from repro.store.columnar import (
     LazyPoints,
     ResultStore,
     StorePlan,
+    default_cache_dir,
     family_key,
     grid_geometry,
     materialize_point,
     sweep_signature,
 )
 from repro.store.refine import RefinedCurve, refine_worker_grid
-from repro.store.union import CurveView, evaluate_union
 
 __all__ = [
-    "CurveView",
     "LazyPoints",
     "RefinedCurve",
     "ResultStore",
     "StorePlan",
-    "evaluate_union",
+    "default_cache_dir",
     "family_key",
     "grid_geometry",
     "materialize_point",

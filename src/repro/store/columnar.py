@@ -1,12 +1,11 @@
 """Columnar, memory-mapped result store with point-level keys.
 
-The blob cache (:mod:`repro.scenarios.cache`) keyed whole sweep results
-by spec content hash: change one axis value and *everything* recomputes.
-This store keys **points**.  A sweep's curves land in a numpy structured
-array — one row per grid point, one ``f8`` times block per row (speedups
-and efficiencies are exact derivations, recomputed on read) —
-memory-mapped back on read, so a million-point hit costs a file map,
-not a million dict constructions.
+Keying whole sweep results by spec content hash would recompute
+*everything* when one axis value changes; this store keys **points**.
+A sweep's curves land in a numpy structured array — one row per grid
+point, one ``f8`` times block per row (speedups and efficiencies are
+exact derivations, recomputed on read) — memory-mapped back on read, so
+a million-point hit costs a file map, not a million dict constructions.
 
 Layout, under ``<cache_dir>/store/``::
 
@@ -32,11 +31,11 @@ against the stored views by axis-value tokens and stride arithmetic,
 reuses every row it can, and schedules only the missing points (see
 :meth:`ResultStore.plan`).
 
-Durability is the blob cache's contract, continued: chunks and manifests
-write to ``.tmp-*.part`` temporaries and ``os.replace`` into place, so
-readers see whole files or nothing; a corrupt manifest or chunk is a
-miss, never an error; :meth:`ResultStore.clear` unlinks files
-individually (never the directory) so racing writers cannot crash.
+Durability: chunks and manifests write to ``.tmp-*.part`` temporaries
+and ``os.replace`` into place, so readers see whole files or nothing; a
+corrupt manifest or chunk is a miss, never an error;
+:meth:`ResultStore.clear` unlinks files individually (never the
+directory) so racing writers cannot crash.
 """
 
 from __future__ import annotations
@@ -55,6 +54,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.errors import ScenarioError
+from repro.core.speedup import derive_curve
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.trace import tracer
 
@@ -107,20 +107,19 @@ _NO_CROSSOVER = -1
 #: Chunk fields.  ``speedups`` and ``efficiencies`` are *not* stored:
 #: spec parsing guarantees ``baseline_workers`` lies on the worker grid,
 #: so the baseline time is a ``times_s`` entry and
-#: ``s(n) = t(baseline)/t(n)``, ``e(n) = s(n)*baseline/n`` reproduce
-#: :class:`repro.core.speedup.SpeedupCurve` bit-for-bit at
-#: materialization (the same IEEE-double operations in the same order).
+#: :func:`repro.core.speedup.derive_curve` reproduces them bit-for-bit
+#: at materialization, exactly as :class:`~repro.core.speedup.SpeedupCurve`
+#: derives them on the fresh path.
 #: Storing them would triple every chunk's bytes — and the chunk write
 #: is the dominant cost of a delta commit.
 _CHUNK_FIELDS = ("times_s", "crossover", "meta")
 
-# Same variable the blob cache honours (repro.scenarios.cache); duplicated
-# here rather than imported so the store stays a leaf package — scenarios
-# imports the store, never the reverse.
+#: Environment variable overriding the default cache location.
 _CACHE_DIR_ENV = "REPRO_SCENARIO_CACHE"
 
 
-def _default_root() -> Path:
+def default_cache_dir() -> Path:
+    """``$REPRO_SCENARIO_CACHE`` or ``~/.cache/repro/scenarios``."""
     override = os.environ.get(_CACHE_DIR_ENV)
     if override:
         return Path(override)
@@ -244,14 +243,14 @@ def materialize_point(
 ) -> dict:
     """Rebuild one grid point's dict from its columnar row.
 
-    Key order must match :func:`repro.scenarios.sweep.evaluate_point`
+    Key order must match :func:`repro.scenarios.sweep.curve_record`
     exactly — exports and wire payloads serialise in insertion order and
     are pinned byte-identical to the non-store path.  The meta JSON holds
     every non-column key in original order; the curve arrays re-enter
     right after ``backend_config``, the crossover (a per-view value —
     it compares against the view's own reference) re-enters last.
-    Speedups and efficiencies are recomputed from the times row with
-    :class:`~repro.core.speedup.SpeedupCurve`'s exact expressions — the
+    Speedups and efficiencies come from
+    :func:`~repro.core.speedup.derive_curve` on the times row — the
     stored ``f8`` values round-trip the original doubles bit-for-bit, so
     the derived lists equal the fresh path's to the last bit.
     """
@@ -261,16 +260,15 @@ def materialize_point(
     for key, value in meta.items():
         point[key] = value
         if key == "backend_config":
-            times = np.atleast_1d(row["times_s"]).tolist()
+            times = np.atleast_1d(row["times_s"])
             baseline = meta["baseline_workers"]
-            baseline_time = times[list(workers).index(baseline)]
-            speedups = [baseline_time / t for t in times]
+            speedups, efficiencies = derive_curve(
+                times, workers, times[list(workers).index(baseline)], baseline
+            )
             point["workers"] = list(workers)
-            point["times_s"] = times
-            point["speedups"] = speedups
-            point["efficiencies"] = [
-                s * baseline / n for s, n in zip(speedups, workers)
-            ]
+            point["times_s"] = times.tolist()
+            point["speedups"] = speedups.tolist()
+            point["efficiencies"] = efficiencies.tolist()
     if has_crossover:
         crossover = int(row["crossover"])
         point["crossover_workers"] = None if crossover < 0 else crossover
@@ -454,7 +452,7 @@ class ResultStore:
         directory: str | Path | None = None,
         registry: MetricsRegistry | None = None,
     ) -> None:
-        base = Path(directory) if directory is not None else _default_root()
+        base = Path(directory) if directory is not None else default_cache_dir()
         self.directory = base / STORE_SUBDIR
         # Counters live on a metrics registry: private by default (unit
         # tests assert exact values on fresh instances), shared when the
@@ -534,8 +532,7 @@ class ResultStore:
         """Diff the spec's grid against the stored views.
 
         Never raises for on-disk state: worst case is a ``"miss"`` plan
-        and a full compute, exactly the blob cache's corrupt-entry
-        contract.
+        and a full compute.
         """
         start = time.perf_counter()
         span = tracer().span("store.plan")
@@ -896,11 +893,8 @@ class ResultStore:
     def disk_stats(self) -> dict:
         """What is on disk (the ``scenario cache stats`` report).
 
-        Canonical field names follow the registry scheme's nouns:
-        ``points_stored`` and ``bytes_stored``.  The pre-telemetry names
-        (``grid_points``, ``chunk_bytes``) ride along as deprecated
-        aliases — ``scenario cache stats`` and ``/healthz`` used to
-        disagree on what to call the same quantities.
+        Field names follow the registry scheme's nouns: ``points_stored``
+        and ``bytes_stored``.
         """
         families = views = rows = 0
         chunk_bytes = 0
@@ -931,9 +925,6 @@ class ResultStore:
             "points_stored": rows,
             "bytes_stored": chunk_bytes,
             "temp_files": temp_files,
-            # Deprecated aliases (pre-telemetry names), kept one release.
-            "grid_points": rows,
-            "chunk_bytes": chunk_bytes,
         }
 
     def verify(self) -> dict:

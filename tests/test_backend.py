@@ -6,6 +6,8 @@ seed-derivation determinism across serial and process sweep modes, and
 the straggler jitter model.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,7 @@ from repro.scenarios import (
     simulation_issue,
     with_backend,
 )
+from repro.scenarios.sweep import curve_record
 from repro.simulate.backend import SimulatedBackend
 from repro.simulate.overhead import SPARK_LIKE_OVERHEAD
 from repro.simulate.rng import StragglerJitter, derive_seed, stream
@@ -427,6 +430,13 @@ class TestCurvesBatch:
 
     REQUESTS = (((1, 2, 4, 8), 1), ((2, 4), 2), ((1, 8, 13), 1))
 
+    #: Wider grids with off-1 baselines, one of them off every grid.
+    WIDE_REQUESTS = (
+        (tuple(range(1, 17)), 1),
+        ((1, 2, 4, 8, 16, 32, 64), 2),
+        ((3, 9, 27), 3),
+    )
+
     def _target(self, backend_block):
         spec = parse_scenario(
             minimal_spec(workers={"min": 1, "max": 13}, backend=backend_block)
@@ -434,22 +444,34 @@ class TestCurvesBatch:
         return compile_point(spec)
 
     @pytest.mark.parametrize(
-        "backend_block",
+        "backend_block, requests",
         (
-            {"kind": "analytic"},
-            {"kind": "simulated", "simulation": {"iterations": 2, "seed": 3}},
+            ({"kind": "analytic"}, REQUESTS),
+            (
+                {"kind": "simulated", "simulation": {"iterations": 2, "seed": 3}},
+                REQUESTS,
+            ),
+            ({"kind": "analytic"}, WIDE_REQUESTS),
         ),
-        ids=("analytic", "simulated"),
+        ids=("analytic", "simulated", "analytic-wide"),
     )
-    def test_sliced_curves_are_bit_identical_to_solo(self, backend_block):
+    def test_sliced_curves_are_bit_identical_to_solo(self, backend_block, requests):
+        """The coalesced service path: every member's curve, field by
+        field and as serialised JSON, equals a solo evaluation."""
         target, backend = self._target(backend_block)
-        batched = backend.curves(target, self.REQUESTS)
-        for (grid, baseline), curve in zip(self.REQUESTS, batched):
+        batched = backend.curves(target, requests)
+        for (grid, baseline), curve in zip(requests, batched):
             solo = backend.curve(target, grid, baseline)
             assert curve.times == solo.times  # exact, not approx
             assert curve.baseline_time == solo.baseline_time
             assert curve.workers == tuple(grid)
             assert curve.baseline_workers == baseline
+            assert curve.speedups == solo.speedups
+            assert curve.efficiencies == solo.efficiencies
+            assert curve.optimal_workers == solo.optimal_workers
+            assert curve.peak_speedup == solo.peak_speedup
+            assert curve.is_scalable == solo.is_scalable
+            assert json.dumps(curve_record(curve)) == json.dumps(curve_record(solo))
 
     def test_calibrated_backend_fits_each_grid_separately(self):
         # A calibrated fit couples every point of its grid, so curves()

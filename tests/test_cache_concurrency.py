@@ -1,19 +1,16 @@
-"""Concurrency hammer for the on-disk result cache.
+"""Concurrency hammer for the on-disk columnar result store.
 
-The sweep runner, the capacity planner and now the evaluation service
-all write to the same content-addressed cache — from multiple threads
-inside one server process and from multiple processes across CLI
-invocations.  The contract under fire:
-
-* a reader sees either *no* entry or a *complete* entry, never a torn
-  write (``put`` stages to a temp file and ``os.replace``s it in);
-* concurrent writers of the same key are idempotent (same content hash
-  ⇒ same payload, so last-writer-wins is indistinguishable);
-* ``clear()`` racing in-flight ``put``s must not crash the writers —
-  which it did before ``put`` staged its temp files with a ``.part``
-  suffix: pathlib's ``*.json`` glob matches dotfiles, so ``clear()``
-  could unlink a ``.tmp-*.json`` staging file between write and rename
-  and the writer's ``os.replace`` would die with ``FileNotFoundError``.
+The sweep runner, the capacity planner and the evaluation service all
+write to the same store — from multiple threads inside one server
+process and from multiple processes across CLI invocations.
+Delta-writers on *overlapping* grids share one family directory — they
+gather rows out of each other's chunks and read-modify-replace one
+manifest.  The contract under fire: whatever interleaving of delta
+commits, ``clear()`` and ``gc()`` happens, every sweep result is
+byte-identical to a fresh no-cache run — a lost manifest race or
+deleted chunk may cost a recompute, never correctness.  Staging files
+are named ``.tmp-*.part`` so that ``clear()`` racing an in-flight write
+never unlinks it and crashes the writer's ``os.replace``.
 """
 
 from __future__ import annotations
@@ -25,130 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 from repro.scenarios import SweepRunner, parse_scenario
-from repro.scenarios.cache import ResultCache
 from repro.store import ResultStore
-
-#: A payload large enough that a torn write would be observable.
-PAYLOAD = {
-    "content_hash": "k" * 64,
-    "points": [
-        {"workers": list(range(1, 65)), "times_s": [1.0 / n for n in range(1, 65)]}
-        for _ in range(20)
-    ],
-}
-
-KEY = "a" * 64
-
-
-def _hammer_put(directory: str, rounds: int) -> int:
-    cache = ResultCache(directory)
-    for _ in range(rounds):
-        cache.put(KEY, PAYLOAD)
-    return rounds
-
-
-def _hammer_get(directory: str, rounds: int) -> int:
-    """Reads must observe None or the complete payload, never a fragment."""
-    cache = ResultCache(directory)
-    complete = 0
-    for _ in range(rounds):
-        payload = cache.get(KEY)
-        if payload is not None:
-            assert payload == PAYLOAD, "torn or partial cache entry observed"
-            complete += 1
-    return complete
-
-
-class TestThreadHammer:
-    def test_concurrent_writers_and_readers_same_key(self, tmp_path):
-        errors: list[BaseException] = []
-
-        def run(target, *args):
-            try:
-                target(*args)
-            except BaseException as error:  # noqa: BLE001 - collected for assert
-                errors.append(error)
-
-        threads = [
-            threading.Thread(target=run, args=(_hammer_put, str(tmp_path), 60))
-            for _ in range(4)
-        ] + [
-            threading.Thread(target=run, args=(_hammer_get, str(tmp_path), 200))
-            for _ in range(4)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert not errors, errors
-        assert ResultCache(tmp_path).get(KEY) == PAYLOAD
-
-    def test_clear_racing_writers_does_not_crash_them(self, tmp_path):
-        """The regression this file exists for (see module docstring)."""
-        cache = ResultCache(tmp_path)
-        stop = threading.Event()
-        errors: list[BaseException] = []
-
-        def clear_loop():
-            while not stop.is_set():
-                cache.clear()
-
-        def put_loop():
-            try:
-                for _ in range(150):
-                    cache.put(KEY, PAYLOAD)
-            except BaseException as error:  # noqa: BLE001
-                errors.append(error)
-
-        clearer = threading.Thread(target=clear_loop)
-        writers = [threading.Thread(target=put_loop) for _ in range(3)]
-        clearer.start()
-        for writer in writers:
-            writer.start()
-        for writer in writers:
-            writer.join()
-        stop.set()
-        clearer.join()
-        assert not errors, f"clear() unlinked an in-flight write: {errors}"
-
-    def test_staging_files_survive_clear(self, tmp_path):
-        """The naming contract behind the fix, pinned directly.
-
-        pathlib's ``*.json`` glob matches dotfiles, so staging files must
-        not end in ``.json`` or ``clear()`` would delete them mid-write.
-        """
-        cache = ResultCache(tmp_path)
-        cache.put(KEY, PAYLOAD)
-        staging = tmp_path / ".tmp-in-flight.part"
-        staging.write_text(json.dumps(PAYLOAD))
-        removed = cache.clear()
-        assert removed == 1  # the real entry, nothing else
-        assert staging.exists()
-        assert cache.get(KEY) is None
-
-
-@pytest.mark.slow
-class TestProcessHammer:
-    def test_cross_process_writers_and_readers(self, tmp_path):
-        directory = str(tmp_path)
-        with ProcessPoolExecutor(max_workers=4) as pool:
-            futures = [
-                pool.submit(_hammer_put, directory, 25) for _ in range(2)
-            ] + [pool.submit(_hammer_get, directory, 120) for _ in range(2)]
-            for future in futures:
-                future.result(timeout=120)  # raises on torn reads
-        assert ResultCache(directory).get(KEY) == PAYLOAD
-
-
-# --- Columnar store hammer --------------------------------------------
-#
-# The columnar store has a harder job than the blob cache: delta-writers
-# on *overlapping* grids share one family directory — they gather rows
-# out of each other's chunks and read-modify-replace one manifest.  The
-# contract under fire: whatever interleaving of delta commits, clear()
-# and gc() happens, every sweep result is byte-identical to a fresh
-# no-cache run — a lost manifest race or deleted chunk may cost a
-# recompute, never correctness.
 
 #: Shared sweep axis; windows overlap so writers reuse each other's rows.
 STORE_FLOPS = (5e8, 1e9, 2e9, 4e9, 8e9)
@@ -264,7 +138,11 @@ class TestStoreHammer:
             assert result.stats["points_computed"] == 0
 
     def test_store_staging_files_survive_clear(self, tmp_path):
-        """Same naming contract as the blob cache, in the store's dirs."""
+        """The naming contract behind clear() racing live writers.
+
+        pathlib's globs match dotfiles, so a staging file must not look
+        like a store entry or ``clear()`` would delete it mid-write.
+        """
         runner = SweepRunner(mode="serial", cache_dir=tmp_path)
         runner.run(parse_scenario(_store_document(0, 3)))
         family_dir = next((tmp_path / "store").iterdir())

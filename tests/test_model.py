@@ -23,9 +23,9 @@ def spark_figure2_model() -> BSPModel:
 class TestBSPModel:
     def test_superstep_is_sum_of_terms(self):
         model = spark_figure2_model()
-        n = 4
-        assert model.time(n) == pytest.approx(
-            model.computation_time(n) + model.communication_time(n)
+        parts = model.decompose([4])
+        assert model.time(4) == pytest.approx(
+            parts["computation"][0] + parts["communication"][0]
         )
 
     def test_paper_optimal_workers_on_cluster_grid(self):
@@ -55,7 +55,14 @@ class TestBSPModel:
 
     def test_communication_dominates_eventually(self):
         model = spark_figure2_model()
-        assert model.communication_time(100) > model.computation_time(100)
+        parts = model.decompose([100])
+        assert parts["communication"][0] > parts["computation"][0]
+
+    def test_expired_time_aliases_are_gone(self):
+        # decompose() is the one way to split a model's time by kind.
+        model = spark_figure2_model()
+        for alias in ("computation_time", "communication_time", "_kind_time"):
+            assert not hasattr(model, alias), alias
 
 
 class TestCallableModel:

@@ -38,20 +38,22 @@ class TestGenericGDModel:
 
     def test_computation_inverse_in_workers(self):
         model = self.make()
-        assert model.computation_time(4) == pytest.approx(model.computation_time(1) / 4)
+        computation = model.decompose([1, 4])["computation"]
+        assert computation[1] == pytest.approx(computation[0] / 4)
 
     def test_communication_formula(self):
         model = self.make()
         transfer = 32 * 1e6 / 1e9
-        assert model.communication_time(8) == pytest.approx(2 * transfer * 3)
+        assert model.decompose([8])["communication"][0] == pytest.approx(2 * transfer * 3)
 
     def test_no_communication_single_worker(self):
-        assert self.make().communication_time(1) == 0.0
+        assert self.make().decompose([1])["communication"][0] == 0.0
 
     def test_time_is_sum(self):
         model = self.make()
+        parts = model.decompose([8])
         assert model.time(8) == pytest.approx(
-            model.computation_time(8) + model.communication_time(8)
+            parts["computation"][0] + parts["communication"][0]
         )
 
     def test_invalid_parameters_rejected(self):
@@ -70,20 +72,36 @@ class TestSparkFigure2Model:
     def test_tcp_at_one_worker(self):
         # 6 * 12e6 * 60000 / (0.8 * 105.6e9) ~ 51.1 s.
         model = spark_mnist_figure2_model()
-        assert model.computation_time(1) == pytest.approx(51.1, rel=0.01)
+        assert model.decompose([1])["computation"][0] == pytest.approx(51.1, rel=0.01)
 
     def test_communication_formula_pieces(self):
         model = spark_mnist_figure2_model()
         transfer = 64 * model.parameters / 1e9
-        assert model.broadcast_time(8) == pytest.approx(transfer * 3)
-        assert model.aggregation_time(9) == pytest.approx(2 * transfer * 3)
-        assert model.aggregation_time(10) == pytest.approx(2 * transfer * 4)
+        parts = model.decompose([8, 9, 10])
+        assert parts["broadcast"][0] == pytest.approx(transfer * 3)
+        assert parts["aggregation"][1] == pytest.approx(2 * transfer * 3)
+        assert parts["aggregation"][2] == pytest.approx(2 * transfer * 4)
 
     def test_single_worker_still_pays_aggregation(self):
         # The paper's formula keeps ceil(sqrt(1)) = 1.
         model = spark_mnist_figure2_model()
         transfer = 64 * model.parameters / 1e9
-        assert model.communication_time(1) == pytest.approx(2 * transfer)
+        parts = model.decompose([1])
+        assert parts["broadcast"][0] + parts["aggregation"][0] == pytest.approx(
+            2 * transfer
+        )
+
+    def test_expired_component_aliases_are_gone(self):
+        # The broadcast/aggregation split is read from decompose().
+        model = spark_mnist_figure2_model()
+        for alias in (
+            "broadcast_time",
+            "aggregation_time",
+            "computation_time",
+            "communication_time",
+        ):
+            assert not hasattr(model, alias), alias
+        assert {"computation", "broadcast", "aggregation"} <= set(model.decompose([4]))
 
     def test_optimal_nine_workers_on_paper_grid(self):
         # Section V-A: "The model suggests that the optimal number of
@@ -176,7 +194,7 @@ class TestGenericBuilder:
         )
         assert model.parameters == pytest.approx(12e6, rel=0.01)
         # forward_operations = 2W, training = 6W: same tcp as Figure 2.
-        assert model.computation_time(1) == pytest.approx(51.1, rel=0.01)
+        assert model.decompose([1])["computation"][0] == pytest.approx(51.1, rel=0.01)
 
     def test_invalid_batch_rejected(self):
         with pytest.raises(ModelError):

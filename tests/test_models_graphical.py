@@ -91,21 +91,22 @@ class TestGraphInferenceModel:
 
     def test_computation_term(self):
         model = self.make()
-        assert model.computation_time(4) == pytest.approx(280.0 * 14 / 1e9)
+        assert model.decompose([4])["computation"][0] == pytest.approx(280.0 * 14 / 1e9)
 
     def test_communication_formula_verbatim(self):
         # tcm = 32/B * r * V * S.
         model = self.make(replication=0.5)
         expected = BITS_PER_STATE / 1e9 * 0.5 * 100 * 2
-        assert model.communication_time(4) == pytest.approx(expected)
+        assert model.decompose([4])["communication"][0] == pytest.approx(expected)
 
     def test_single_worker_no_communication(self):
-        assert self.make().communication_time(1) == 0.0
+        assert self.make().decompose([1])["communication"][0] == 0.0
 
     def test_time_is_sum(self):
         model = self.make()
+        parts = model.decompose([4])
         assert model.time(4) == pytest.approx(
-            model.computation_time(4) + model.communication_time(4)
+            parts["computation"][0] + parts["communication"][0]
         )
 
     def test_from_source_with_replication_curve(self):
@@ -121,9 +122,10 @@ class TestGraphInferenceModel:
             trials=5,
             seed=0,
         )
-        assert model.communication_time(4) > model.communication_time(2)
+        communication = model.decompose([2, 4])["communication"]
+        assert communication[1] > communication[0]
 
     def test_negative_replication_rejected(self):
         model = self.make(replication=-1.0)
         with pytest.raises(ModelError):
-            model.communication_time(4)
+            model.decompose([4])

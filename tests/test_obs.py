@@ -412,9 +412,10 @@ class TestMetricNameLint:
             else:
                 assert not metric.name.endswith("_total"), metric.name
 
-    def test_store_disk_stats_keep_deprecated_aliases(self, tmp_path):
+    def test_store_disk_stats_use_canonical_names_only(self, tmp_path):
         from repro.store import ResultStore
 
         disk = ResultStore(str(tmp_path)).disk_stats()
-        assert disk["grid_points"] == disk["points_stored"]
-        assert disk["chunk_bytes"] == disk["bytes_stored"]
+        assert {"points_stored", "bytes_stored"} <= set(disk)
+        assert "grid_points" not in disk
+        assert "chunk_bytes" not in disk

@@ -151,6 +151,29 @@ class TestScenarioCli:
         assert main(["scenario", "run", "figure1"]) == 0
         assert "cache hit" in capsys.readouterr().out
 
+    def test_cache_commands_cover_the_store_only(self, capsys, tmp_path):
+        cache_dir = tmp_path / "cache"
+        assert main(["scenario", "run", "figure1", "--cache-dir", str(cache_dir)]) == 0
+        # A file in the old top-level blob layout is not the store's.
+        legacy = cache_dir / ("0" * 64 + ".json")
+        legacy.write_text("{}")
+        capsys.readouterr()
+
+        assert main(["scenario", "cache", "stats", "--cache-dir", str(cache_dir)]) == 0
+        output = capsys.readouterr().out
+        assert f"store directory: {cache_dir / 'store'}" in output
+        assert "families:      1" in output
+        assert "blob" not in output
+
+        assert main(["scenario", "cache", "gc", "--cache-dir", str(cache_dir)]) == 0
+        assert "blob" not in capsys.readouterr().out
+
+        assert main(["scenario", "cache", "clear", "--cache-dir", str(cache_dir)]) == 0
+        assert capsys.readouterr().out.strip() == "removed 1 entry"
+        assert legacy.exists()
+        assert main(["scenario", "cache", "stats", "--cache-dir", str(cache_dir)]) == 0
+        assert "families:      0" in capsys.readouterr().out
+
 
 class TestScenarioBackendCli:
     def test_run_with_simulated_backend(self, capsys):

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,10 +18,40 @@ from repro.core.communication import (
 from repro.core.complexity import ComputationCost, FixedCost, ScaledCost, SumCost
 from repro.core.metrics import mape, rmse
 from repro.core.model import CallableModel
-from repro.core.speedup import SpeedupCurve, speedup_grid
+from repro.core.speedup import SpeedupCurve, derive_curve, speedup_grid
 
 workers_strategy = st.integers(min_value=1, max_value=512)
 positive = st.floats(min_value=1e-6, max_value=1e9, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def curve_inputs(draw):
+    """Any positive finite times on a unique worker grid, on-grid baseline."""
+    workers = draw(
+        st.lists(
+            st.integers(min_value=1, max_value=1_000_000),
+            min_size=1,
+            max_size=64,
+            unique=True,
+        )
+    )
+    times = draw(
+        st.lists(
+            st.floats(
+                min_value=0.0,
+                exclude_min=True,
+                allow_nan=False,
+                allow_infinity=False,
+            ),
+            min_size=len(workers),
+            max_size=len(workers),
+        )
+    )
+    return workers, times, draw(st.sampled_from(workers))
+
+
+def _bits(values) -> list[str]:
+    return [float(v).hex() for v in values]
 
 
 class TestSpeedupInvariants:
@@ -50,6 +81,34 @@ class TestSpeedupInvariants:
         """compute/n + comm*n models can never be superlinear."""
         curve = speedup_grid(lambda n: compute / n + comm * n, max_workers)
         assert all(e <= 1.0 + 1e-9 for e in curve.efficiencies)
+
+
+class TestSingleDerivation:
+    """``derive_curve`` is the one speedup/efficiency arithmetic; it must
+    equal the Python-float expressions it replaced, bit for bit."""
+
+    @given(inputs=curve_inputs())
+    def test_curve_matches_python_float_reference(self, inputs):
+        workers, times, baseline = inputs
+        curve = SpeedupCurve.from_times(workers, times, baseline_workers=baseline)
+        b_t = curve.baseline_time
+        speedups = [b_t / t for t in times]
+        efficiencies = [s * baseline / n for s, n in zip(speedups, workers)]
+        assert _bits(curve.speedups) == _bits(speedups)
+        assert _bits(curve.efficiencies) == _bits(efficiencies)
+        assert all(type(s) is float for s in curve.speedups + curve.efficiencies)
+        assert curve.peak_speedup == max(speedups)
+        assert curve.optimal_workers == min(
+            n for n, s in zip(workers, speedups) if s == max(speedups)
+        )
+        assert curve.is_scalable == any(s > 1.0 + 1e-12 for s in speedups)
+        # The store's path: a float64 times row and a numpy baseline.
+        row = np.asarray(times, dtype=float)
+        row_speedups, row_efficiencies = derive_curve(
+            row, workers, row[workers.index(baseline)], baseline
+        )
+        assert _bits(row_speedups) == _bits(speedups)
+        assert _bits(row_efficiencies) == _bits(efficiencies)
 
 
 class TestCommunicationProperties:

@@ -16,7 +16,6 @@ from repro.models.deep_learning import (
     spark_mnist_figure2_model,
 )
 from repro.scenarios import (
-    ResultCache,
     SweepRunner,
     builtin_names,
     compile_scenario,
@@ -557,23 +556,6 @@ class TestExport:
             "scalable",
             "crossover_workers",
         } <= set(rows[0])
-
-
-class TestResultCache:
-    def test_put_get_clear(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        assert cache.get("k" * 64) is None
-        cache.put("k" * 64, {"hello": 1})
-        assert cache.get("k" * 64) == {"hello": 1}
-        assert cache.clear() == 1
-        assert cache.get("k" * 64) is None
-
-    def test_bad_key_rejected(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        with pytest.raises(ScenarioError):
-            cache.path_for("../escape")
-        with pytest.raises(ScenarioError):
-            cache.path_for("")
 
 
 class TestRegistryEquivalence:

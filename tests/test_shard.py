@@ -680,12 +680,20 @@ class TestSoak:
                 worker_records(supervisor.control_dir), key=lambda r: r["slot"]
             )
             # A job owned by a worker we will NOT kill must complete and
-            # stay pollable across the kill.
+            # stay pollable across the kill.  It runs for seconds (a
+            # large grid), so it is unfinished when the hammer stops:
+            # only finished jobs age out of a worker's bounded history,
+            # and the hammer's own jobs could push a finished one out.
             survivor = records[1]
-            pinned_job = (
-                ServiceClient(survivor["control_url"], timeout_s=30)
-                .sweep(SIMULATED_SWEEP, mode="async", wait=False)["result"]["job"]
-            )
+            survivor_client = ServiceClient(survivor["control_url"], timeout_s=30)
+            pinned_spec = {
+                **SIMULATED_SWEEP,
+                **LONG_SIMULATED_GRID,
+                "name": "shard-soak-pinned",
+            }
+            pinned_job = survivor_client.sweep(
+                pinned_spec, mode="async", wait=False
+            )["result"]["job"]
             victim = records[0]
 
             stop_at = time.monotonic() + 8.0
@@ -759,6 +767,8 @@ class TestSoak:
                 thread.start()
             time.sleep(4.0)
             os.kill(victim["pid"], signal.SIGKILL)
+            pinned = survivor_client.job(pinned_job)["result"]["status"]
+            assert pinned in ("queued", "running", "done"), pinned
             for thread in threads:
                 thread.join(timeout=60)
             assert all(not thread.is_alive() for thread in threads)

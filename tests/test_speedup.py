@@ -1,5 +1,7 @@
 """Tests for repro.core.speedup."""
 
+import pickle
+
 import pytest
 
 from repro.core.errors import ModelError
@@ -106,6 +108,36 @@ class TestGridHelpers:
     def test_invalid_max_workers(self):
         with pytest.raises(ModelError):
             speedup_grid(knee_time, 0)
+
+
+class TestDerivation:
+    def test_derived_once_per_curve_and_invisible_to_equality(self):
+        curve = speedup_grid(knee_time, 10)
+        assert curve.speedups is curve.speedups
+        assert curve.efficiencies is curve.efficiencies
+        fresh = speedup_grid(knee_time, 10)  # nothing derived yet
+        assert curve == fresh
+        assert hash(curve) == hash(fresh)
+        # Curves cross process boundaries in pooled sweeps.
+        shipped = pickle.loads(pickle.dumps(curve))
+        assert shipped == curve
+        assert shipped.speedups == curve.speedups
+        assert shipped.efficiencies == curve.efficiencies
+
+    def test_off_grid_baseline_uses_the_reference_arithmetic(self):
+        # Figure 3 style: the baseline count (50) is not on the grid.
+        workers = [64, 100, 128, 200]
+        curve = SpeedupCurve.from_model(knee_time, workers, baseline_workers=50)
+        baseline_time = knee_time(50)
+        assert curve.baseline_time == baseline_time
+        speedups = [baseline_time / knee_time(n) for n in workers]
+        assert list(curve.speedups) == speedups
+        assert list(curve.efficiencies) == [
+            s * 50 / n for s, n in zip(speedups, workers)
+        ]
+        assert curve.peak_speedup == max(speedups)
+        assert curve.optimal_workers == 64
+        assert curve.is_scalable is False
 
 
 class TestOptimalWorkersTieBreaking:

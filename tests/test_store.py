@@ -1,12 +1,12 @@
-"""Tests for the columnar result store, union serving and refinement.
+"""Tests for the columnar result store and refinement.
 
 Three contracts under test:
 
 * **point-level keys** — incremental sweeps reuse stored points and
   compute only the delta, byte-identically to a full recompute (the
   hypothesis differential pins this across all four backends);
-* **zero-copy serving** — a :class:`repro.store.CurveView` sliced out of
-  a shared union buffer serialises byte-identically to a standalone
+* **coalesced serving** — a curve answered from a coalesced batch's
+  shared union evaluation serialises byte-identically to a standalone
   :class:`~repro.core.speedup.SpeedupCurve` evaluation;
 * **progressive refinement** — refined curves match the dense grid at
   every evaluated point, and on dense grids locate the same optimum and
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import time
 from pathlib import Path
 
@@ -28,13 +29,9 @@ from repro.core.backend import AnalyticBackend
 from repro.core.errors import ScenarioError
 from repro.scenarios import SweepRunner, compile_point, load_builtin, parse_scenario
 from repro.scenarios.grids import with_workers
-from repro.store import (
-    CurveView,
-    LazyPoints,
-    ResultStore,
-    evaluate_union,
-    refine_worker_grid,
-)
+from repro.scenarios.sweep import curve_record
+from repro.service.handlers import Coalescer
+from repro.store import LazyPoints, ResultStore, default_cache_dir, refine_worker_grid
 from repro.store.columnar import _axis_token, chunk_name, family_key, sweep_signature
 from tests.strategies import network_documents, simulatable_documents
 
@@ -241,8 +238,8 @@ class TestStoreMaintenance:
         disk = runner.store.disk_stats()
         assert disk["families"] == 2
         assert disk["views"] == 2
-        assert disk["grid_points"] == 3
-        assert disk["chunk_bytes"] > 0
+        assert disk["points_stored"] == 3
+        assert disk["bytes_stored"] > 0
         assert disk["temp_files"] == 0
 
     def test_axis_tokens_distinguish_int_from_float(self):
@@ -286,8 +283,47 @@ class TestLazyPoints:
             assert list(fresh) == list(stored)  # dict key order, exactly
 
 
-class TestCurveViewByteIdentity:
-    def test_views_match_standalone_curves_exactly(self):
+def _coalesced(target, backend, requests, coalescer):
+    """Answer ``requests`` as one coalesced batch; curves in request order.
+
+    The leader's compile step waits until every request has joined the
+    batch, so the batch always holds all of them, whichever thread leads.
+    """
+
+    def compile_fn():
+        deadline = time.monotonic() + 30.0
+        while coalescer.stats()["requests"] < len(requests):
+            assert time.monotonic() < deadline, "followers never joined"
+            time.sleep(0.001)
+        return target, backend
+
+    answers: list = [None] * len(requests)
+    errors: list[BaseException] = []
+
+    def ask(index):
+        grid, baseline = requests[index]
+        try:
+            answers[index] = coalescer.evaluate(
+                "unit", grid, baseline, compile_fn, label="unit"
+            )
+        except BaseException as error:  # noqa: BLE001 - collected for assert
+            errors.append(error)
+
+    threads = [threading.Thread(target=ask, args=(i,)) for i in range(len(requests))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60.0)
+    assert not errors, errors
+    assert [answer[2] for answer in answers] == [len(requests)] * len(requests)
+    return [answer[0] for answer in answers]
+
+
+class TestCoalescedCurveByteIdentity:
+    """Coalesced requests are served by ``backend.curves()`` over the
+    union grid; each member's curve equals a standalone evaluation."""
+
+    def test_coalesced_curves_match_standalone_curves_exactly(self):
         spec = parse_scenario(minimal_document(workers={"min": 1, "max": 64}))
         target, backend = compile_point(spec)
         assert isinstance(backend, AnalyticBackend)
@@ -296,42 +332,67 @@ class TestCurveViewByteIdentity:
             ((1, 2, 4, 8, 16, 32, 64), 2),
             ((3, 9, 27), 3),
         ]
-        views, union_size = evaluate_union(backend, target, requests, label="unit")
-        assert union_size == len({n for grid, b in requests for n in grid} | {1, 2, 3})
-        for view, (grid, baseline) in zip(views, requests):
-            curve = backend.curve(target, grid, baseline, label="unit")
-            assert isinstance(view, CurveView)
-            assert view.workers == curve.workers
-            assert view.baseline_time == curve.baseline_time
-            assert list(view.times) == list(curve.times)
-            assert list(view.speedups) == list(curve.speedups)
-            assert list(view.efficiencies) == list(curve.efficiencies)
-            assert view.optimal_workers == curve.optimal_workers
-            assert view.peak_speedup == curve.peak_speedup
-            assert view.is_scalable == curve.is_scalable
+        coalescer = Coalescer()
+        curves = _coalesced(target, backend, requests, coalescer)
+        stats = coalescer.stats()
+        assert stats["batches"] == 1
+        assert stats["coalesced_requests"] == len(requests) - 1
+        # One shared evaluation over the union of grids and baselines.
+        assert stats["shared_buffer_points"] == len(
+            {n for grid, _ in requests for n in grid} | {1, 2, 3}
+        )
+        for coalesced, (grid, baseline) in zip(curves, requests):
+            solo = backend.curve(target, grid, baseline, label="unit")
+            assert coalesced.workers == solo.workers
+            assert coalesced.baseline_time == solo.baseline_time
+            assert list(coalesced.times) == list(solo.times)
+            assert list(coalesced.speedups) == list(solo.speedups)
+            assert list(coalesced.efficiencies) == list(solo.efficiencies)
+            assert coalesced.optimal_workers == solo.optimal_workers
+            assert coalesced.peak_speedup == solo.peak_speedup
+            assert coalesced.is_scalable == solo.is_scalable
 
-    def test_views_serialise_byte_identically(self):
-        spec = parse_scenario(minimal_document(workers={"min": 1, "max": 32}))
+    @pytest.mark.parametrize(
+        "backend_block, shared_points",
+        (
+            ({"kind": "analytic"}, 32),
+            # A calibrated fit couples every point of its grid: each
+            # member is evaluated on its own, no shared union buffer.
+            ({"kind": "calibrated", "calibration": {"features": "amdahl"}}, 0),
+        ),
+        ids=("analytic", "calibrated"),
+    )
+    def test_coalesced_curves_serialise_byte_identically(
+        self, backend_block, shared_points
+    ):
+        spec = parse_scenario(
+            minimal_document(workers={"min": 1, "max": 32}, backend=backend_block)
+        )
         target, backend = compile_point(spec)
-        grid = tuple(range(1, 33))
-        views, _ = evaluate_union(backend, target, [(grid, 1)])
-        curve = backend.curve(target, grid, 1)
+        requests = [(tuple(range(1, 33)), 1), ((1, 4, 8, 13), 1)]
+        coalescer = Coalescer()
+        curves = _coalesced(target, backend, requests, coalescer)
+        assert coalescer.stats()["shared_buffer_points"] == shared_points
+        for coalesced, (grid, baseline) in zip(curves, requests):
+            solo = backend.curve(target, grid, baseline)
+            assert json.dumps(curve_record(coalesced)) == json.dumps(curve_record(solo))
 
-        def wire(c) -> str:
-            return json.dumps(
-                {
-                    "workers": list(c.workers),
-                    "times_s": list(c.times),
-                    "speedups": list(c.speedups),
-                    "efficiencies": list(c.efficiencies),
-                    "baseline_workers": c.baseline_workers,
-                    "optimal_workers": c.optimal_workers,
-                    "peak_speedup": c.peak_speedup,
-                    "is_scalable": c.is_scalable,
-                }
-            )
 
-        assert wire(views[0]) == wire(curve)
+class TestDefaultCacheDir:
+    def test_scenarios_reexport_the_store_default(self):
+        import repro.scenarios
+        import repro.store
+
+        assert repro.scenarios.default_cache_dir is repro.store.default_cache_dir
+
+    def test_env_override_and_home_fallback(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_SCENARIO_CACHE", str(tmp_path / "override"))
+        assert default_cache_dir() == tmp_path / "override"
+        assert ResultStore().directory.parent == tmp_path / "override"
+        assert SweepRunner(mode="serial").store.directory.parent == tmp_path / "override"
+        monkeypatch.delenv("REPRO_SCENARIO_CACHE")
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        assert default_cache_dir() == tmp_path / "home" / ".cache" / "repro" / "scenarios"
 
 
 class TestRefinement:
