@@ -72,7 +72,11 @@ def _kind_counter(name: str):
 
 
 def _instrumented(fn):
-    """Wrap a backend ``evaluate`` with telemetry.
+    """Wrap a backend ``evaluate`` with the grid check and telemetry.
+
+    Every concrete ``evaluate`` receives its worker grid already checked
+    by :func:`_as_grid` — a non-empty tuple of ints, each >= 1 — so no
+    backend re-validates or re-casts it.
 
     Tracing off costs one attribute check plus two counter increments
     per *batch* (a batch is a whole worker grid, >= 100us of numpy
@@ -88,7 +92,7 @@ def _instrumented(fn):
             {"backend": self.name, "target": target.label or target.key},
         )
         with span:
-            result = fn(self, target, workers)
+            result = fn(self, target, _as_grid(workers))
             span.set(points=int(np.size(result)))
         _EVAL_SECONDS.observe(time.perf_counter() - start)
         _EVALUATIONS.inc()
@@ -236,8 +240,8 @@ class AnalyticBackend(EvaluationBackend):
     name: ClassVar[str] = "analytic"
 
     def evaluate(self, target: EvaluationTarget, workers: Iterable[int]) -> np.ndarray:
-        grid = _as_grid(workers)
-        return np.asarray(target.model.times(np.asarray(grid, dtype=float)), dtype=float)
+        grid = np.asarray(workers, dtype=float)
+        return np.asarray(target.model.times(grid), dtype=float)
 
 
 @dataclass(frozen=True)

@@ -51,11 +51,6 @@ class NodeSpec:
         """``F`` in the paper: achievable floating-point throughput."""
         return self.peak_flops * self.efficiency
 
-    @property
-    def flops_per_core(self) -> float:
-        """Effective throughput of a single core (shared-memory studies)."""
-        return self.effective_flops / self.cores
-
     def with_efficiency(self, efficiency: float) -> "NodeSpec":
         """Copy of this spec with a different achievable fraction of peak."""
         return replace(self, efficiency=efficiency)

@@ -128,7 +128,7 @@ class NetworkBackend(EvaluationBackend):
         tcp = self.tcp_model()
         options = self.options_dict()
         times = []
-        for n in (int(value) for value in workers):
+        for n in workers:
             topology = build_topology(self.topology_kind, n + 1, workload.link, options)
             engine = FlowBSPEngine(
                 node=workload.node,

@@ -20,13 +20,6 @@ class TrainingHistory:
     converged: bool = False
     steps: int = 0
 
-    @property
-    def final_loss(self) -> float:
-        """Loss after the last step."""
-        if not self.losses:
-            raise TrainingError("no training steps recorded")
-        return self.losses[-1]
-
 
 def train(
     network: Sequential,

@@ -215,10 +215,6 @@ class ScenarioSpec:
     schema_version: int = SCHEMA_VERSION
 
     @property
-    def sweep_dict(self) -> dict[str, tuple[object, ...]]:
-        return dict(self.sweep)
-
-    @property
     def grid_size(self) -> int:
         """Number of sweep grid points (1 when there is no sweep)."""
         size = 1

@@ -5,12 +5,13 @@ cartesian product of the spec's sweep axes applied as overrides.  A
 sweep executes as a :mod:`repro.sched` task graph::
 
     reference        chunk-0000[0:N]  chunk-0001[N:2N]  ...
-        \\                |                /
-         \\               v               v
-          +----------->  merge  <--------+
-                           |
-                           v
-                      crossovers
+                            |                /
+                            v               v
+                          merge  <---------+
+
+The runner then attaches each point's crossover against the reference,
+over the whole grid (a delta computes only the points the store lacks,
+so crossovers cannot live inside the graph).
 
 Grid points are batched into contiguous *chunks* sized by what one
 point costs (:func:`repro.sched.chunks.chunk_size_for`): big chunks for
@@ -93,7 +94,7 @@ from repro.sched import (
 from repro.core.speedup import SpeedupCurve
 from repro.scenarios.compile import compile_point, is_expensive
 from repro.scenarios.spec import ScenarioSpec, parse_scenario
-from repro.store.columnar import LazyPoints, ResultStore, StorePlan
+from repro.store.columnar import LazyPoints, ResultStore
 from repro.store.refine import refine_worker_grid
 
 #: Cheap-grid size at which ``auto`` mode reaches for the pool: below
@@ -262,30 +263,22 @@ def _merge_chunks_traced(*chunks: dict) -> list[dict]:
     return points
 
 
-def _merged_with_crossovers(points: list[dict], reference: dict | None) -> list[dict]:
-    _attach_crossovers(points, reference)
-    return points
-
-
 def build_sweep_graph(
     spec: ScenarioSpec,
     grid: list[dict[str, object]],
     *,
     chunk_size: int,
     pooled: bool,
-    attach_crossovers: bool = True,
 ) -> tuple[TaskGraph, str]:
     """The task graph of one sweep; returns ``(graph, final_task_name)``.
 
-    ``compile → N chunk-evaluate → merge → crossovers``: the reference
-    point (a swept scenario's own declared configuration) evaluates
-    inline and in parallel with the pool's chunks; the merge and the
-    crossover annotation depend on everything before them.
-
-    A delta run (computing only a stored grid's missing points) passes
-    ``attach_crossovers=False``: its ``grid`` is a subset, so crossovers
-    are attached later, over the merged full grid.  The reference task
-    still runs — every grid signature needs its own reference.
+    ``reference + N chunk-evaluate → merge``: the reference point (a
+    swept scenario's own declared configuration) evaluates inline and in
+    parallel with the pool's chunks; the merge depends on every chunk.
+    ``grid`` may be any subset of the spec's grid — a delta run passes
+    only the missing points — so crossovers, which need the whole grid,
+    are attached by the runner after the graph has run.  The reference
+    task runs regardless: every grid signature needs its own reference.
     """
     graph = TaskGraph()
     if spec.sweep:
@@ -312,12 +305,7 @@ def build_sweep_graph(
             graph.add(name, _evaluate_chunk_inline, spec, chunk)
         chunk_results.append(Dep(name))
     merge = _merge_chunks_traced if traced else _merge_chunks
-    final = graph.add("merge", merge, *chunk_results)
-    if spec.sweep and attach_crossovers:
-        final = graph.add(
-            "crossovers", _merged_with_crossovers, Dep("merge"), Dep("reference")
-        )
-    return graph, final
+    return graph, graph.add("merge", merge, *chunk_results)
 
 
 def _attach_crossovers(points: list[dict], reference: dict | None) -> None:
@@ -364,7 +352,7 @@ def _task_stats(report: ExecutionReport) -> dict:
     """Aggregate the scheduler's per-task timings into a phase breakdown.
 
     Chunk tasks aggregate (a big sweep has hundreds); the named phases
-    (reference, merge, crossovers) report individually.  This rides in
+    (reference, merge) report individually.  This rides in
     ``stats`` — never in the payload — so it is free to evolve.
     """
     phases: dict[str, object] = {
@@ -464,19 +452,6 @@ class SweepResult:
             "points": list(self.points),
             "reference": self.reference,
         }
-
-    @classmethod
-    def from_payload(cls, payload: dict, stats: dict | None = None) -> "SweepResult":
-        try:
-            return cls(
-                scenario=payload["scenario"],
-                content_hash=payload["content_hash"],
-                points=tuple(payload["points"]),
-                reference=payload.get("reference"),
-                stats=stats or {},
-            )
-        except (KeyError, TypeError) as error:
-            raise ScenarioError(f"malformed sweep payload: {error}")
 
     def to_json(self, path: str | Path) -> Path:
         """Write the structured result (curves, optima, crossovers)."""
@@ -636,9 +611,63 @@ class SweepRunner:
                     "elapsed_s": time.perf_counter() - started,
                 },
             )
+        # Everything else is one compute path: a miss (or an uncached run)
+        # is a delta with every grid point missing.
+        grid = expand_grid(spec)
+        missing = plan.missing if plan is not None else range(len(grid))
+        todo = [grid[i] for i in missing]
+        mode, chunk_size, chunks = "store", 0, 0
+        points: list[dict] = []
+        reference = None
+        phases: dict | None = None
+        if todo:
+            mode = self.resolve_mode(spec, len(todo))
+            if mode == "process" and len(todo) <= 1:
+                mode = "serial"  # a pool for one task is pure overhead
+            chunk_size = self.chunk_size(spec, len(todo))
+            chunks = len(partition(len(todo), chunk_size))
+            graph, final = build_sweep_graph(
+                spec, todo, chunk_size=chunk_size, pooled=(mode == "process")
+            )
+            report = self._execute(spec, key, graph, mode)
+            points = report.values[final]
+            reference = report.values.get("reference")
+            phases = _task_stats(report)
+        elif spec.sweep:
+            # Every grid signature owns its reference: re-evaluate it even
+            # when all points are reused.
+            reference = evaluate_point(spec, {})
+        if plan is not None:
+            # Only after a fully successful run — a failed chunk raised
+            # above, so the store can never hold a partial sweep.
+            chunk = self.store.commit(spec, plan, dict(zip(missing, points)), reference)
         if plan is not None and plan.state == "delta":
-            return self._run_delta(spec, key, started, plan)
-        return self._run_full(spec, key, started, plan)
+            # Reused rows live in the committed chunk, whose crossover
+            # column is already derived against this grid's reference.
+            result_points = self.store.points(spec, chunk)
+        else:
+            _attach_crossovers(points, reference)
+            result_points = tuple(points)
+        stats = {
+            "cache_hit": False,
+            "mode": mode,
+            "grid_points": len(grid),
+            "scheduler": "task-graph",
+            "chunks": chunks,
+            "chunk_size": chunk_size,
+            "points_reused": len(grid) - len(todo),
+            "points_computed": len(todo),
+            "elapsed_s": time.perf_counter() - started,
+        }
+        if phases is not None:
+            stats["phases"] = phases
+        return SweepResult(
+            scenario=spec.name,
+            content_hash=key,
+            points=result_points,
+            reference=reference,
+            stats=stats,
+        )
 
     def _execute(
         self, spec: ScenarioSpec, key: str, graph: TaskGraph, mode: str
@@ -663,109 +692,6 @@ class SweepRunner:
                 f"sweep of scenario {spec.name!r} failed at task"
                 f" {failure.task!r}: {type(cause).__name__}: {cause}"
             ) from cause
-
-    def _run_full(
-        self, spec: ScenarioSpec, key: str, started: float, plan: StorePlan | None
-    ) -> SweepResult:
-        """Evaluate the whole grid; commit the view when caching is on."""
-        grid = expand_grid(spec)
-        mode = self.resolve_mode(spec, len(grid))
-        if mode == "process" and len(grid) <= 1:
-            mode = "serial"  # a pool for one task is pure overhead
-        chunk_size = self.chunk_size(spec, len(grid))
-        graph, final = build_sweep_graph(
-            spec, grid, chunk_size=chunk_size, pooled=(mode == "process")
-        )
-        report = self._execute(spec, key, graph, mode)
-        points = report.values[final]
-        reference = report.values.get("reference")
-
-        result = SweepResult(
-            scenario=spec.name,
-            content_hash=key,
-            points=tuple(points),
-            reference=reference,
-            stats={
-                "cache_hit": False,
-                "mode": mode,
-                "grid_points": len(grid),
-                "scheduler": "task-graph",
-                "chunks": len(graph) - (3 if spec.sweep else 1),
-                "chunk_size": chunk_size,
-                "points_reused": 0,
-                "points_computed": len(grid),
-                "elapsed_s": time.perf_counter() - started,
-                "phases": _task_stats(report),
-            },
-        )
-        if plan is not None:
-            # Only after a fully successful run — a failed chunk raised
-            # above, so the store can never hold a partial sweep.
-            self.store.commit(spec, plan, dict(enumerate(points)), reference)
-        return result
-
-    def _run_delta(
-        self, spec: ScenarioSpec, key: str, started: float, plan: StorePlan
-    ) -> SweepResult:
-        """Compute only the grid points the store is missing.
-
-        The missing points run through the same chunked task graph as a
-        full sweep (minus the crossover stage — crossovers need the full
-        merged grid); the reference re-evaluates regardless, because a
-        reference's identity includes the sweep block, so each grid
-        signature owns its own reference times (and hence crossovers).
-        """
-        grid = expand_grid(spec)
-        missing_grid = [grid[i] for i in plan.missing]
-        reference = None
-        chunks = 0
-        chunk_size = 0
-        mode = "store"
-        phases: dict | None = None
-        if missing_grid:
-            mode = self.resolve_mode(spec, len(missing_grid))
-            if mode == "process" and len(missing_grid) <= 1:
-                mode = "serial"
-            chunk_size = self.chunk_size(spec, len(missing_grid))
-            graph, final = build_sweep_graph(
-                spec,
-                missing_grid,
-                chunk_size=chunk_size,
-                pooled=(mode == "process"),
-                attach_crossovers=False,
-            )
-            report = self._execute(spec, key, graph, mode)
-            new_points = report.values[final]
-            reference = report.values.get("reference")
-            chunks = len(graph) - (2 if spec.sweep else 1)
-            phases = _task_stats(report)
-        else:
-            new_points = []
-            if spec.sweep:
-                reference = evaluate_point(spec, {})
-        chunk = self.store.commit(
-            spec, plan, dict(zip(plan.missing, new_points)), reference
-        )
-        stats = {
-            "cache_hit": False,
-            "mode": mode,
-            "grid_points": len(grid),
-            "scheduler": "task-graph",
-            "chunks": chunks,
-            "chunk_size": chunk_size,
-            "points_reused": len(grid) - len(missing_grid),
-            "points_computed": len(missing_grid),
-            "elapsed_s": time.perf_counter() - started,
-        }
-        if phases is not None:
-            stats["phases"] = phases
-        return SweepResult(
-            scenario=spec.name,
-            content_hash=key,
-            points=self.store.points(spec, chunk),
-            reference=reference,
-            stats=stats,
-        )
 
     def _run_refined(
         self, spec: ScenarioSpec, key: str, started: float

@@ -474,14 +474,6 @@ class ShardSupervisor:
             f"({len(worker_records(self.control_dir))} of {self.workers} registered)"
         )
 
-    def worker_pids(self) -> list[int]:
-        with self._lock:
-            return [
-                slot.process.pid
-                for slot in self._slots
-                if slot.process is not None and slot.process.is_alive()
-            ]
-
     def _spawn(self, slot: _Slot) -> None:
         process = self._ctx.Process(
             target=_worker_main,

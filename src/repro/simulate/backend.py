@@ -93,7 +93,7 @@ class SimulatedBackend(EvaluationBackend):
             )
         jitter = self.jitter()
         times = []
-        for n in (int(value) for value in workers):
+        for n in workers:
             engine = BSPEngine(
                 node=workload.node,
                 link=workload.link,

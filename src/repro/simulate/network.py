@@ -90,11 +90,6 @@ class Network:
         self._check_node(node)
         return self._uplink_free_at[node]
 
-    def downlink_free_at(self, node: int) -> float:
-        """Earliest time ``node`` can start receiving."""
-        self._check_node(node)
-        return self._downlink_free_at[node]
-
     def advance(self, time: float) -> None:
         """Nothing to drop: each port keeps only its free-at time."""
 

@@ -711,8 +711,13 @@ class ResultStore:
 
     @staticmethod
     def _crossover_column(out: np.ndarray, reference: dict) -> None:
-        """Vectorized twin of ``sweep._attach_crossovers``: the smallest
-        worker count strictly beating the reference time, else -1."""
+        """The smallest worker count strictly beating the reference time,
+        else -1, for every row of a view.
+
+        The vectorized twin of ``sweep._attach_crossovers``, which the
+        runner applies to freshly computed points when nothing was
+        reused; a delta's points read their crossovers from this column.
+        """
         reference_times = np.asarray(reference["times_s"], dtype=float)
         workers = np.asarray(reference["workers"], dtype=np.int64)
         wins = out["times_s"] < reference_times[None, :]

@@ -231,7 +231,7 @@ def backend_sections(
     kinds: tuple[str, ...] = ("analytic", "simulated"),
     simulation: st.SearchStrategy[dict] | None = None,
 ) -> st.SearchStrategy[dict]:
-    simulation = simulation or zero_noise_simulation()
+    simulation = simulation if simulation is not None else zero_noise_simulation()
 
     def section_for(kind: str) -> st.SearchStrategy[dict]:
         if kind == "analytic":

@@ -14,6 +14,7 @@ import pytest
 from repro.core.backend import AnalyticBackend, CalibratedBackend, EvaluationTarget
 from repro.core.errors import (
     CalibrationError,
+    ModelError,
     ScenarioError,
     SimulationError,
 )
@@ -423,6 +424,36 @@ class TestCompileScenarioStillWorks:
         spec = parse_scenario(minimal_spec(backend={"kind": "simulated"}))
         model = compile_scenario(spec)
         assert model.time(1) > model.time(4)
+
+
+class TestWorkerGridCheck:
+    """Every backend's ``evaluate`` checks its worker grid at the same
+    boundary, with the same errors."""
+
+    @pytest.mark.parametrize(
+        "backend_block",
+        (
+            {"kind": "analytic"},
+            {"kind": "simulated"},
+            {"kind": "calibrated"},
+            {"kind": "network"},
+        ),
+        ids=lambda block: block["kind"],
+    )
+    @pytest.mark.parametrize(
+        "workers, message",
+        (
+            ((), "at least one worker count"),
+            ((4, 0, 2), "worker counts must be >= 1, got 0"),
+        ),
+        ids=("empty", "zero"),
+    )
+    def test_bad_grids_raise_model_error(self, backend_block, workers, message):
+        target, backend = compile_point(
+            parse_scenario(minimal_spec(backend=backend_block))
+        )
+        with pytest.raises(ModelError, match=message):
+            backend.evaluate(target, workers)
 
 
 class TestCurvesBatch:

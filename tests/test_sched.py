@@ -16,6 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.scenarios import SweepRunner, load_builtin, parse_scenario
+from repro.scenarios.sweep import build_sweep_graph, expand_grid
 from repro.sched import (
     CHEAP_CHUNK_POINTS,
     Dep,
@@ -321,3 +322,22 @@ class TestSweepStatsRecordChunking:
         assert result.stats["chunks"] == 1  # 3 cheap points, one slab
         assert result.stats["chunk_size"] == 3
         assert result.stats["grid_points"] == 3
+
+    def test_graph_ends_at_merge(self):
+        """``reference + N chunks -> merge``: crossovers are the runner's
+        job, after the graph, so a delta's subset grid builds the same
+        shape."""
+        spec = parse_scenario(minimal_spec(sweep={"flops": [1e9, 2e9, 3e9]}))
+        graph, final = build_sweep_graph(
+            spec, expand_grid(spec), chunk_size=2, pooled=False
+        )
+        assert [t.name for t in graph.tasks] == [
+            "reference", "chunk-0000[0:2]", "chunk-0001[2:3]", "merge",
+        ]
+        assert final == "merge"
+        sweep_free = parse_scenario(minimal_spec())
+        graph, final = build_sweep_graph(
+            sweep_free, expand_grid(sweep_free), chunk_size=2, pooled=False
+        )
+        assert [t.name for t in graph.tasks] == ["chunk-0000[0:1]", "merge"]
+        assert final == "merge"

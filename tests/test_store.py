@@ -30,6 +30,7 @@ from repro.core.errors import ScenarioError
 from repro.scenarios import SweepRunner, compile_point, load_builtin, parse_scenario
 from repro.scenarios.grids import with_workers
 from repro.scenarios.sweep import curve_record
+from repro.sched import partition
 from repro.service.handlers import Coalescer
 from repro.store import LazyPoints, ResultStore, default_cache_dir, refine_worker_grid
 from repro.store.columnar import _axis_token, chunk_name, family_key, sweep_signature
@@ -67,7 +68,60 @@ def payload_json(result) -> str:
     return json.dumps(result.payload())
 
 
+#: Stats keys of a store hit; every other run adds the chunk plan, and
+#: ``phases`` exactly when it computed points.
+HIT_STATS = {
+    "cache_hit", "mode", "grid_points", "points_reused", "points_computed", "elapsed_s",
+}
+RUN_STATS = HIT_STATS | {"scheduler", "chunks", "chunk_size"}
+
+
+def assert_accounting(result) -> None:
+    """One sweep path: the reused and computed points add up to the grid,
+    and the chunk plan and phases describe exactly the computed part."""
+    stats = result.stats
+    computed = stats["points_computed"]
+    assert stats["points_reused"] + computed == stats["grid_points"]
+    if stats["cache_hit"]:
+        assert set(stats) == HIT_STATS
+        return
+    assert set(stats) == (RUN_STATS | {"phases"} if computed else RUN_STATS)
+    if computed:
+        assert stats["chunks"] == len(partition(computed, stats["chunk_size"]))
+        assert stats["phases"]["chunk_count"] == stats["chunks"]
+        assert "crossovers_s" not in stats["phases"]
+    else:
+        assert (stats["mode"], stats["chunks"], stats["chunk_size"]) == ("store", 0, 0)
+
+
 class TestStorePlanCommit:
+    @pytest.mark.parametrize("mode", ("serial", "process"))
+    def test_miss_delta_delta_hit_on_one_store(self, tmp_path, mode):
+        """Every state of the one sweep path, in turn, on one store: a
+        miss, a delta with points missing, a delta with none missing and
+        a hit each give an uncached run's payload, byte for byte."""
+        runner = SweepRunner(mode=mode, max_workers=2, cache_dir=tmp_path)
+        steps = (
+            ([100, 200, 400], 0, 3),
+            ([100, 200, 400, 800, 1600], 3, 2),
+            ([100, 400], 2, 0),
+            ([100, 400], 2, 0),
+        )
+        results = []
+        for values, reused, computed in steps:
+            spec = parse_scenario(swept(values))
+            result = runner.run(spec)
+            assert result.stats["points_reused"] == reused
+            assert result.stats["points_computed"] == computed
+            fresh = SweepRunner(mode=mode, max_workers=2, use_cache=False).run(spec)
+            assert payload_json(result) == payload_json(fresh)
+            assert_accounting(result)
+            assert_accounting(fresh)
+            results.append(result)
+        assert [r.stats["cache_hit"] for r in results] == [False, False, False, True]
+        counters = runner.store.stats()
+        assert (counters["misses"], counters["deltas"], counters["hits"]) == (1, 2, 1)
+
     def test_miss_then_hit_round_trip(self, tmp_path):
         spec = parse_scenario(swept([100, 200, 400]))
         runner = SweepRunner(mode="serial", cache_dir=tmp_path)
@@ -121,6 +175,7 @@ class TestStorePlanCommit:
         delta = runner.run(grown)
         assert delta.stats["points_reused"] == 4  # the original 2x2 block
         assert delta.stats["points_computed"] == 5
+        assert_accounting(delta)
         fresh = SweepRunner(mode="serial", use_cache=False).run(grown)
         assert payload_json(delta) == payload_json(fresh)
 
@@ -137,6 +192,8 @@ class TestStorePlanCommit:
         a = serial.run(grown)
         b = process.run(grown)
         assert a.stats["points_computed"] == b.stats["points_computed"] == 3
+        assert_accounting(a)
+        assert_accounting(b)
         assert payload_json(a) == payload_json(b)
 
     def test_sweep_free_spec_round_trips(self, tmp_path):
@@ -146,6 +203,8 @@ class TestStorePlanCommit:
         second = runner.run(spec)
         assert second.stats["cache_hit"] is True
         assert second.reference is None
+        assert_accounting(first)
+        assert_accounting(second)
         assert payload_json(second) == payload_json(first)
 
     def test_reference_and_crossovers_recomputed_per_grid(self, tmp_path):
