@@ -34,11 +34,8 @@ then silently overwrite another job's mirror.
 
 from __future__ import annotations
 
-import json
 import logging
-import os
 import re
-import tempfile
 import threading
 import time
 from collections import OrderedDict
@@ -51,6 +48,7 @@ from repro.core.errors import ReproError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import tracer
 from repro.sched import TaskFailure, run_single_task
+from repro.store.files import read_json, unlink_quiet, write_json
 
 
 class ServiceError(ReproError):
@@ -205,14 +203,8 @@ class JobStore:
             match = pattern.match(path.name)
             if match:
                 highest = max(highest, int(match.group(1)))
-        seq = self._seq_path
-        record = None
-        if seq is not None:
-            try:
-                record = json.loads(seq.read_text())
-            except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-                record = None
-        if isinstance(record, dict) and isinstance(record.get("counter"), int):
+        record = read_json(self._seq_path)
+        if record is not None and isinstance(record.get("counter"), int):
             highest = max(highest, record["counter"])
         return highest
 
@@ -258,19 +250,7 @@ class JobStore:
             if counter <= self._seq_written:
                 return
             try:
-                handle, temp = tempfile.mkstemp(
-                    dir=self.state_dir, prefix=".tmp-seq-", suffix=".part"
-                )
-                try:
-                    with os.fdopen(handle, "w") as stream:
-                        json.dump({"counter": counter}, stream)
-                    os.replace(temp, seq)
-                except BaseException:
-                    try:
-                        os.unlink(temp)
-                    except OSError:
-                        pass
-                    raise
+                write_json(seq, {"counter": counter})
             except OSError:
                 logger.exception("failed to persist job sequence high-water")
                 return
@@ -335,10 +315,7 @@ class JobStore:
         if self.state_dir is None:
             return
         for job_id in job_ids:
-            try:
-                (self.state_dir / f"{job_id}.json").unlink()
-            except OSError:
-                pass
+            unlink_quiet(self.state_dir / f"{job_id}.json")
 
     def get(self, job_id: str) -> Job | None:
         with self._lock:
@@ -355,19 +332,7 @@ class JobStore:
             return
         payload = {"payload": job.payload(), "timings": job.timings()}
         try:
-            handle, temp = tempfile.mkstemp(
-                dir=self.state_dir, prefix=f".tmp-{job.id}-", suffix=".part"
-            )
-            try:
-                with os.fdopen(handle, "w") as stream:
-                    json.dump(payload, stream)
-                os.replace(temp, self.state_dir / f"{job.id}.json")
-            except BaseException:
-                try:
-                    os.unlink(temp)
-                except OSError:
-                    pass
-                raise
+            write_json(self.state_dir / f"{job.id}.json", payload)
         except OSError:
             logger.exception("failed to persist job %s state", job.id)
 
@@ -384,11 +349,8 @@ class JobStore:
             return {"payload": job.payload(), "timings": job.timings()}
         if self.state_dir is None or not _JOB_ID_RE.match(job_id):
             return None
-        try:
-            raw = json.loads((self.state_dir / f"{job_id}.json").read_text())
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            return None
-        if not isinstance(raw, dict) or not isinstance(raw.get("payload"), dict):
+        raw = read_json(self.state_dir / f"{job_id}.json")
+        if raw is None or not isinstance(raw.get("payload"), dict):
             return None
         timings = raw.get("timings")
         return {

@@ -42,7 +42,6 @@ topology cannot be expressed with ``spawn``.
 
 from __future__ import annotations
 
-import json
 import logging
 import multiprocessing
 import os
@@ -67,6 +66,7 @@ from repro.obs.metrics import get_registry
 from repro.service.app import ServiceRequestHandler, ServiceServer
 from repro.service.handlers import EvaluationService
 from repro.service.jobs import ServiceError
+from repro.store.files import read_json, sweep_temps, unlink_quiet, write_json
 
 __all__ = [
     "ShardContext",
@@ -99,44 +99,18 @@ SIBLING_TIMEOUT_S = 2.0
 # -- control-directory records ----------------------------------------
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    """Atomic-replace JSON write (same temp+rename discipline as the
-    columnar store): readers only ever see a complete record."""
-    handle, temp = tempfile.mkstemp(
-        dir=path.parent, prefix=".tmp-", suffix=".part"
-    )
-    try:
-        with os.fdopen(handle, "w") as stream:
-            json.dump(payload, stream)
-        os.replace(temp, path)
-    except BaseException:
-        try:
-            os.unlink(temp)
-        except OSError:
-            pass
-        raise
-
-
-def _read_json(path: Path) -> dict | None:
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-        return None
-    return payload if isinstance(payload, dict) else None
-
-
 def worker_records(control_dir: str | Path) -> list[dict]:
     """The live worker registry: one record per registered slot."""
     records = []
     for path in sorted(Path(control_dir).glob(f"{WORKER_FILE_PREFIX}*.json")):
-        record = _read_json(path)
+        record = read_json(path)
         if record is not None and isinstance(record.get("slot"), int):
             records.append(record)
     return records
 
 
 def supervisor_record(control_dir: str | Path) -> dict | None:
-    return _read_json(Path(control_dir) / SUPERVISOR_FILE)
+    return read_json(Path(control_dir) / SUPERVISOR_FILE)
 
 
 def _pid_alive(pid: int) -> bool:
@@ -318,7 +292,7 @@ def _worker_main(
 
     # Registration is the readiness signal: written only after both
     # servers are accepting.
-    _write_json(
+    write_json(
         directory / f"{WORKER_FILE_PREFIX}{slot}.json",
         {
             "slot": slot,
@@ -340,10 +314,7 @@ def _worker_main(
             shared.inflight,
         )
     service.jobs.flush()
-    try:
-        (directory / f"{WORKER_FILE_PREFIX}{slot}.json").unlink()
-    except OSError:
-        pass
+    unlink_quiet(directory / f"{WORKER_FILE_PREFIX}{slot}.json")
     control.server_close()
     shared.server_close()
     sys.exit(0)
@@ -414,21 +385,18 @@ class ShardSupervisor:
         # *this* run's workers registered and would pad the /healthz and
         # repro_service_workers counts with phantom siblings.  Job
         # mirrors are deliberately kept: old handles stay resolvable and
-        # they seed the respawn-safe id counters.
-        for stale in self.control_dir.glob(f"{WORKER_FILE_PREFIX}*.json"):
-            try:
-                stale.unlink()
-            except OSError:
-                pass
+        # they seed the respawn-safe id counters.  No worker of this
+        # fleet is writing yet, so every temp here or under jobs/ is a
+        # crashed writer's.
         for stale in (
+            *self.control_dir.glob(f"{WORKER_FILE_PREFIX}*.json"),
             self.control_dir / SUPERVISOR_FILE,
-            *self.control_dir.glob(".tmp-*.part"),
         ):
-            try:
-                stale.unlink()
-            except OSError:
-                pass
-        (self.control_dir / JOBS_SUBDIR).mkdir(exist_ok=True)
+            unlink_quiet(stale)
+        jobs_dir = self.control_dir / JOBS_SUBDIR
+        jobs_dir.mkdir(exist_ok=True)
+        for directory in (self.control_dir, jobs_dir):
+            sweep_temps(directory, max_age_s=0.0)
 
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -493,7 +461,7 @@ class ShardSupervisor:
         slot.respawn_at = None
 
     def _write_supervisor_record(self) -> None:
-        _write_json(
+        write_json(
             self.control_dir / SUPERVISOR_FILE,
             {
                 "pid": os.getpid(),
@@ -515,7 +483,7 @@ class ShardSupervisor:
         """
         jobs_dir = self.control_dir / JOBS_SUBDIR
         for path in jobs_dir.glob(f"w{slot}-j*.json"):
-            record = _read_json(path)
+            record = read_json(path)
             if record is None or not isinstance(record.get("payload"), dict):
                 continue
             payload = dict(record["payload"])
@@ -528,7 +496,7 @@ class ShardSupervisor:
             )
             timings = record.get("timings")
             try:
-                _write_json(
+                write_json(
                     path,
                     {
                         "payload": payload,

@@ -1,11 +1,13 @@
 """Columnar result store and grid refinement.
 
 ``repro.store`` is a leaf package: it imports numpy and ``repro.core``
-only, never ``repro.scenarios`` (which imports *it*).  The two modules
+only, never ``repro.scenarios`` (which imports *it*).  The modules
 are independently useful:
 
 - :mod:`repro.store.columnar` — the memory-mapped point-level store
   under :class:`repro.scenarios.sweep.SweepRunner`;
+- :mod:`repro.store.files` — the one atomic-write primitive every
+  persisted file goes through (stdlib only);
 - :mod:`repro.store.refine` — progressive worker-grid refinement.
 """
 

@@ -31,11 +31,11 @@ against the stored views by axis-value tokens and stride arithmetic,
 reuses every row it can, and schedules only the missing points (see
 :meth:`ResultStore.plan`).
 
-Durability: chunks and manifests write to ``.tmp-*.part`` temporaries
-and ``os.replace`` into place, so readers see whole files or nothing; a
-corrupt manifest or chunk is a miss, never an error;
-:meth:`ResultStore.clear` unlinks files individually (never the
-directory) so racing writers cannot crash.
+Durability: chunks and manifests are written through
+:func:`repro.store.files.write_atomic` (a ``.tmp-*.part`` temp, then a
+rename), so readers see whole files or nothing; a corrupt manifest or
+chunk is a miss, never an error; :meth:`ResultStore.clear` unlinks files
+individually (never the directory) so racing writers cannot crash.
 """
 
 from __future__ import annotations
@@ -43,10 +43,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
-import threading
 import time
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -57,6 +55,13 @@ from repro.core.errors import ScenarioError
 from repro.core.speedup import derive_curve
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.trace import tracer
+from repro.store.files import (
+    count_temps,
+    read_json,
+    sweep_temps,
+    write_atomic,
+    write_json,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, keeps store import-light
     from repro.scenarios.spec import ScenarioSpec
@@ -185,45 +190,34 @@ def _chunk_dtype(worker_count: int, meta_width: int) -> np.dtype:
     )
 
 
-def _unlink_quiet(path: str | Path) -> None:
-    try:
-        os.unlink(path)
-    except OSError:
-        pass
+def _write_retrying(path: Path, write: Callable[[], None]) -> None:
+    """``mkdir -p`` the parent of ``path``, then run ``write`` (an atomic
+    write of ``path``), retrying while the directory vanishes.
 
-
-def _ensure_dir(directory: Path) -> None:
-    """``mkdir -p`` that tolerates a concurrent ``rmdir``.
-
-    ``Path.mkdir(exist_ok=True)`` re-raises ``FileExistsError`` when the
-    directory vanishes between its ``EEXIST`` and its ``is_dir()``
-    recheck — exactly what a racing ``gc()`` (which prunes empty family
-    dirs) can do.  Callers retry on the next loop iteration anyway; a
-    still-missing directory surfaces as ``FileNotFoundError`` from the
-    subsequent ``mkstemp``.
+    A racing ``gc()`` prunes empty family dirs: ``Path.mkdir`` then
+    re-raises ``FileExistsError`` (the dir went between its ``EEXIST``
+    and its ``is_dir()`` recheck), or the write raises
+    ``FileNotFoundError``.  An external ``rm -rf`` looks the same.
     """
-    try:
-        directory.mkdir(parents=True, exist_ok=True)
-    except FileExistsError:
-        pass
-
-
-def _remove_stale_temps(
-    directory: Path, max_age_s: float, now: float | None = None
-) -> int:
-    """Unlink ``.tmp-*.part`` files older than ``max_age_s``; fresh ones
-    (a live writer's in-flight data) always survive."""
-    now = time.time() if now is None else now
-    removed = 0
-    for temp in directory.glob(".tmp-*.part"):
+    for _attempt in range(8):
         try:
-            if now - temp.stat().st_mtime <= max_age_s:
-                continue
-            temp.unlink()
-            removed += 1
-        except OSError:
-            continue  # racing writer finished (renamed) or another cleaner won
-    return removed
+            path.parent.mkdir(parents=True, exist_ok=True)
+        except FileExistsError:
+            pass
+        try:
+            return write()
+        except FileNotFoundError:
+            continue
+    raise ScenarioError(f"could not write {path}: its directory keeps vanishing")
+
+
+def _load_manifest(directory: Path) -> dict | None:
+    """A family's manifest document at the current store version, else
+    ``None`` (absent, unparseable, not an object, or a version bump)."""
+    payload = read_json(directory / MANIFEST_NAME)
+    if payload is None or payload.get("store") != STORE_VERSION:
+        return None
+    return payload
 
 
 def _point_meta(point: dict) -> bytes:
@@ -491,13 +485,10 @@ class ResultStore:
         structurally off (version bump, workers mismatch after a hash
         collision, hand-edited JSON) degrades to a miss.
         """
-        try:
-            payload = json.loads((directory / MANIFEST_NAME).read_text())
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            return None
-        if not isinstance(payload, dict) or payload.get("store") != STORE_VERSION:
-            return None
-        if payload.get("workers") != [int(n) for n in spec.workers]:
+        payload = _load_manifest(directory)
+        if payload is None or payload.get("workers") != [
+            int(n) for n in spec.workers
+        ]:
             return None
         raw_views = payload.get("views")
         if not isinstance(raw_views, list):
@@ -725,32 +716,8 @@ class ResultStore:
         out["crossover"] = np.where(wins.any(axis=1), workers[first], _NO_CROSSOVER)
 
     def _write_chunk(self, plan: StorePlan, array: np.ndarray) -> None:
-        name = chunk_name(plan.signature)
-        directory = plan.directory
-        # Bounded retries cover an external `rm -rf` of the family dir
-        # between mkdir and replace; clear()/gc() never remove live dirs.
-        for _attempt in range(8):
-            _ensure_dir(directory)
-            try:
-                handle, temp_name = tempfile.mkstemp(
-                    dir=directory, prefix=".tmp-", suffix=".part"
-                )
-            except FileNotFoundError:
-                continue
-            try:
-                with os.fdopen(handle, "wb") as stream:
-                    np.save(stream, array)
-                os.replace(temp_name, directory / name)
-                return
-            except FileNotFoundError:
-                _unlink_quiet(temp_name)
-                continue
-            except BaseException:
-                _unlink_quiet(temp_name)
-                raise
-        raise ScenarioError(
-            f"could not write store chunk {name!r}: {directory} keeps vanishing"
-        )
+        path = plan.directory / chunk_name(plan.signature)
+        _write_retrying(path, lambda: write_atomic(path, lambda s: np.save(s, array)))
 
     def _record_view(
         self, spec: "ScenarioSpec", plan: StorePlan, reference: dict | None
@@ -774,7 +741,9 @@ class ResultStore:
         }
         directory = plan.directory
         path = directory / MANIFEST_NAME
-        for _attempt in range(8):
+
+        def write() -> None:
+            # Re-read on every attempt: a retry follows a vanished dir.
             loaded = self._read_manifest(directory, spec)
             if loaded is None:
                 manifest = {
@@ -793,27 +762,9 @@ class ResultStore:
             ]
             views.append(entry)
             manifest["views"] = views
-            _ensure_dir(directory)
-            try:
-                handle, temp_name = tempfile.mkstemp(
-                    dir=directory, prefix=".tmp-", suffix=".part"
-                )
-            except FileNotFoundError:
-                continue
-            try:
-                with os.fdopen(handle, "w") as stream:
-                    json.dump(manifest, stream)
-                os.replace(temp_name, path)
-                return
-            except FileNotFoundError:
-                _unlink_quiet(temp_name)
-                continue
-            except BaseException:
-                _unlink_quiet(temp_name)
-                raise
-        raise ScenarioError(
-            f"could not record store view in {path}: directory keeps vanishing"
-        )
+            write_json(path, manifest)
+
+        _write_retrying(path, write)
 
     # -- maintenance -------------------------------------------------------
 
@@ -838,7 +789,7 @@ class ResultStore:
             manifest.unlink(missing_ok=True)
             for chunk in family_dir.glob("*.npy"):
                 chunk.unlink(missing_ok=True)
-            _remove_stale_temps(family_dir, STALE_TEMP_AGE_S)
+            sweep_temps(family_dir, STALE_TEMP_AGE_S)
         return removed
 
     def gc(self, max_age_s: float = STALE_TEMP_AGE_S) -> dict:
@@ -861,15 +812,12 @@ class ResultStore:
         for family_dir in sorted(self.directory.iterdir()):
             if not family_dir.is_dir():
                 continue
-            counts["stale_temps"] += _remove_stale_temps(family_dir, max_age_s, now)
+            counts["stale_temps"] += sweep_temps(family_dir, max_age_s)
             manifest_path = family_dir / MANIFEST_NAME
             referenced: set[str] = set()
             if manifest_path.exists():
-                try:
-                    payload = json.loads(manifest_path.read_text())
-                except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-                    payload = None
-                if not isinstance(payload, dict) or payload.get("store") != STORE_VERSION:
+                payload = _load_manifest(family_dir)
+                if payload is None:
                     manifest_path.unlink(missing_ok=True)
                     counts["corrupt_manifests"] += 1
                 else:
@@ -908,11 +856,8 @@ class ResultStore:
             for family_dir in self.directory.iterdir():
                 if not family_dir.is_dir():
                     continue
-                try:
-                    payload = json.loads((family_dir / MANIFEST_NAME).read_text())
-                except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-                    payload = None
-                if isinstance(payload, dict) and payload.get("store") == STORE_VERSION:
+                payload = _load_manifest(family_dir)
+                if payload is not None:
                     families += 1
                     for view in payload.get("views", ()):
                         if isinstance(view, dict) and isinstance(view.get("rows"), int):
@@ -923,7 +868,7 @@ class ResultStore:
                         chunk_bytes += chunk.stat().st_size
                     except OSError:
                         continue
-                temp_files += len(list(family_dir.glob(".tmp-*.part")))
+                temp_files += count_temps(family_dir)
         return {
             "families": families,
             "views": views,
@@ -956,16 +901,11 @@ class ResultStore:
         for family_dir in sorted(self.directory.iterdir()):
             if not family_dir.is_dir():
                 continue
-            report["temp_files"] += len(list(family_dir.glob(".tmp-*.part")))
-            manifest_path = family_dir / MANIFEST_NAME
-            if not manifest_path.exists():
+            report["temp_files"] += count_temps(family_dir)
+            if not (family_dir / MANIFEST_NAME).exists():
                 continue
-            try:
-                payload = json.loads(manifest_path.read_text())
-            except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-                report["broken_manifests"] += 1
-                continue
-            if not isinstance(payload, dict) or payload.get("store") != STORE_VERSION:
+            payload = _load_manifest(family_dir)
+            if payload is None:
                 report["broken_manifests"] += 1
                 continue
             workers = payload.get("workers")

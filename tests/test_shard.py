@@ -552,9 +552,13 @@ class TestJobRouting:
         # pids pass os.kill(pid, 0) (pid reuse, an old fleet).  The
         # supervisor must not count them: wait_ready would return before
         # this run's workers registered, and /healthz would report
-        # phantom siblings.
+        # phantom siblings.  Temps left by crashed writers, in the top
+        # level and in the job mirror directory, go too.
         control = tmp_path / "control"
         control.mkdir()
+        (control / ".tmp-old.part").write_bytes(b"crashed record write")
+        (control / "jobs").mkdir()
+        (control / "jobs" / ".tmp-j000001-x.part").write_bytes(b"crashed mirror")
         (control / "worker-7.json").write_text(
             json.dumps(
                 {
@@ -575,6 +579,8 @@ class TestJobRouting:
             record = supervisor_record(supervisor.control_dir)
             assert record["workers"] == 2
             assert record["respawns"] == 0
+            assert not (control / ".tmp-old.part").exists()
+            assert not (control / "jobs" / ".tmp-j000001-x.part").exists()
             health = ServiceClient(supervisor.url).health()["result"]
             assert health["workers"]["alive"] == 2
             assert health["workers"]["count"] == 2

@@ -15,8 +15,10 @@ Three contracts under test:
 
 from __future__ import annotations
 
+import functools
 import json
 import os
+import tempfile
 import threading
 import time
 from pathlib import Path
@@ -24,6 +26,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core.backend import AnalyticBackend
 from repro.core.errors import ScenarioError
@@ -34,6 +37,7 @@ from repro.sched import partition
 from repro.service.handlers import Coalescer
 from repro.store import LazyPoints, ResultStore, default_cache_dir, refine_worker_grid
 from repro.store.columnar import _axis_token, chunk_name, family_key, sweep_signature
+from repro.store.files import read_json, write_atomic, write_json
 from tests.strategies import network_documents, simulatable_documents
 
 GOLDEN_REFINE = Path(__file__).parent / "golden" / "refine.json"
@@ -306,6 +310,158 @@ class TestStoreMaintenance:
         assert sweep_signature(("a",), ([6000],)) != sweep_signature(
             ("a",), ([6000.0],)
         )
+
+
+def temps_under(directory: Path) -> list[Path]:
+    return sorted(directory.rglob(".tmp-*.part"))
+
+
+class TestAtomicFiles:
+    """The one persistence primitive, :mod:`repro.store.files`.  The age
+    gate of ``sweep_temps`` is pinned through ``clear``/``gc`` above."""
+
+    def test_failed_write_keeps_the_old_file_and_no_temp(self, tmp_path):
+        target = tmp_path / "record.json"
+        write_json(target, {"version": 1})
+        before = target.read_bytes()
+
+        def torn(stream) -> None:
+            stream.write(b'{"version": 2, "half')
+            raise RuntimeError("writer died mid-stream")
+
+        with pytest.raises(RuntimeError, match="mid-stream"):
+            write_atomic(target, torn)
+        assert target.read_bytes() == before
+        assert temps_under(tmp_path) == []
+
+    def test_missing_parent_raises_and_leaves_no_temp(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            write_json(tmp_path / "gone" / "record.json", {"a": 1})
+        assert temps_under(tmp_path) == []
+
+    def test_json_bytes_match_a_text_stream_dump(self, tmp_path):
+        payload = {"counter": 7, "nested": {"x": [1.5, None, "\u00e9"]}}
+        write_json(tmp_path / "record.json", payload)
+        with open(tmp_path / "dumped.json", "w") as stream:
+            json.dump(payload, stream)
+        assert (tmp_path / "record.json").read_bytes() == (
+            tmp_path / "dumped.json"
+        ).read_bytes()
+        assert read_json(tmp_path / "record.json") == payload
+
+    @pytest.mark.parametrize(
+        "content",
+        (
+            None,
+            b"{garbage",
+            b'{"a": "\xff"}',
+            b"[1, 2]",
+            b'{"a": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+        ),
+        ids=("missing", "garbage", "non-utf8", "json-list", "deep-nesting"),
+    )
+    def test_read_json_is_none_for_anything_but_an_object(self, tmp_path, content):
+        path = tmp_path / "record.json"
+        if content is not None:
+            path.write_bytes(content)
+        assert read_json(path) is None
+
+
+class TestPersistenceLint:
+    def test_one_writer_owns_every_rename_and_temp(self):
+        # Every temp-then-rename write goes through repro.store.files;
+        # a second hand-rolled writer would bring its own temp naming
+        # and cleanup back.
+        src = Path(__file__).resolve().parent.parent / "src"
+        for needle in ("os.replace(", "tempfile.mkstemp("):
+            owners = {
+                path.relative_to(src).as_posix(): path.read_text().count(needle)
+                for path in src.rglob("*.py")
+                if needle in path.read_text()
+            }
+            assert owners == {"repro/store/files.py": 1}, needle
+
+
+#: The state machine's sweep grids: overlapping, permuted and disjoint
+#: value lists over one family, so runs hit, miss and delta.
+MACHINE_GRIDS = (
+    (100, 200),
+    (100, 200, 400),
+    (200, 100),
+    (400,),
+    (800, 1600),
+    (100, 800, 1600),
+)
+
+
+@functools.cache
+def uncached_payload(values: tuple) -> str:
+    spec = parse_scenario(swept(values))
+    return payload_json(SweepRunner(mode="serial", use_cache=False).run(spec))
+
+
+class StoreMachine(RuleBasedStateMachine):
+    """Model-checks :class:`ResultStore` through the serial sweep path.
+
+    The model is the set of stored grids: a run of a stored grid is a
+    hit, a run sharing points with one is a delta reusing exactly the
+    shared points, anything else is a miss; ``clear`` empties it and
+    ``gc`` leaves it alone.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._directory = tempfile.TemporaryDirectory()
+        self.runner = SweepRunner(mode="serial", cache_dir=self._directory.name)
+        self.store = self.runner.store
+        self.grids: set[tuple] = set()
+
+    def teardown(self) -> None:
+        self._directory.cleanup()
+
+    @rule(values=st.sampled_from(MACHINE_GRIDS))
+    def run_sweep(self, values):
+        stored = {value for grid in self.grids for value in grid}
+        result = self.runner.run(parse_scenario(swept(values)))
+        assert payload_json(result) == uncached_payload(values)
+        assert_accounting(result)
+        stats = result.stats
+        assert stats["cache_hit"] is (values in self.grids)
+        assert stats["points_reused"] == len(stored & set(values))
+        self.grids.add(values)
+
+    @rule()
+    def clear(self):
+        assert self.store.clear() == (1 if self.grids else 0)
+        self.grids.clear()
+
+    @rule()
+    def gc(self):
+        counts = self.store.gc(max_age_s=0.0)
+        assert (
+            counts["stale_temps"],
+            counts["orphan_chunks"],
+            counts["corrupt_manifests"],
+        ) == (0, 0, 0)
+
+    @rule()
+    def verify(self):
+        report = self.store.verify()
+        assert report["families"] == (1 if self.grids else 0)
+        assert report["views"] == len(self.grids)
+
+    @invariant()
+    def store_is_consistent(self):
+        report = self.store.verify()
+        assert report["broken_manifests"] == 0
+        assert report["broken_chunks"] == 0
+        assert report["temp_files"] == 0
+
+
+TestStoreMachine = StoreMachine.TestCase
+TestStoreMachine.settings = settings(
+    derandomize=True, deadline=None, max_examples=60, stateful_step_count=12
+)
 
 
 class TestLazyPoints:
