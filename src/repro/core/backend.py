@@ -37,7 +37,7 @@ import numpy as np
 from repro.core.calibration import CalibrationResult, feature_library, fit_linear_features
 from repro.core.errors import ModelError
 from repro.core.model import ScalabilityModel
-from repro.core.speedup import SpeedupCurve
+from repro.core.speedup import SpeedupCurve, WorkerGrid, grid_array
 from repro.obs.metrics import get_registry
 from repro.obs.trace import tracer
 
@@ -75,8 +75,9 @@ def _instrumented(fn):
     """Wrap a backend ``evaluate`` with the grid check and telemetry.
 
     Every concrete ``evaluate`` receives its worker grid already checked
-    by :func:`_as_grid` — a non-empty tuple of ints, each >= 1 — so no
-    backend re-validates or re-casts it.
+    by :func:`_as_grid` — a non-empty tuple of ints, each >= 1, and a
+    :class:`~repro.core.speedup.WorkerGrid` unless it repeats a count —
+    so no backend re-validates or re-casts it.
 
     Tracing off costs one attribute check plus two counter increments
     per *batch* (a batch is a whole worker grid, >= 100us of numpy
@@ -123,12 +124,21 @@ class EvaluationTarget:
 
 
 def _as_grid(workers: Iterable[int]) -> tuple[int, ...]:
-    grid = tuple(int(n) for n in workers)
+    """The backend grid check: a :class:`WorkerGrid` passes through as it is.
+
+    Anything else is cast and checked here.  A grid that repeats a count
+    still evaluates (every point is answered on its own) but stays a
+    plain tuple: no speedup curve can be built on it.
+    """
+    grid = WorkerGrid.cast(workers)
+    if isinstance(grid, WorkerGrid):
+        return grid
     if not grid:
         raise ModelError("a backend evaluation needs at least one worker count")
-    if any(n < 1 for n in grid):
-        raise ModelError(f"worker counts must be >= 1, got {min(grid)}")
-    return grid
+    lowest = min(grid)
+    if lowest < 1:
+        raise ModelError(f"worker counts must be >= 1, got {lowest}")
+    return WorkerGrid._trusted(grid) if len(set(grid)) == len(grid) else grid
 
 
 class EvaluationBackend(ABC):
@@ -178,9 +188,9 @@ class EvaluationBackend(ABC):
         never from a different backend.
         """
         grid = _as_grid(workers)
-        times = tuple(float(t) for t in self.evaluate(target, grid))
+        times = np.asarray(self.evaluate(target, grid), dtype=float)
         if baseline_workers in grid:
-            baseline_time = times[grid.index(baseline_workers)]
+            baseline_time = float(times[grid.index(baseline_workers)])
         else:
             baseline_time = float(self.evaluate(target, (baseline_workers,))[0])
         return SpeedupCurve(
@@ -213,20 +223,19 @@ class EvaluationBackend(ABC):
         queries = [(_as_grid(grid), int(baseline)) for grid, baseline in requests]
         if not queries:
             return []
-        union: set[int] = set()
-        for grid, baseline in queries:
+        # Grids are checked above; baselines are checked here, so the
+        # union of both is a checked grid.
+        union = set(_as_grid([baseline for _grid, baseline in queries]))
+        for grid, _baseline in queries:
             union.update(grid)
-            union.add(baseline)
-        union_grid = tuple(sorted(union))
-        times = {
-            n: float(t)
-            for n, t in zip(union_grid, self.evaluate(target, union_grid))
-        }
+        union_grid = WorkerGrid._trusted(sorted(union))
+        times = np.asarray(self.evaluate(target, union_grid), dtype=float)
+        position = union_grid.array.searchsorted
         return [
             SpeedupCurve(
                 workers=grid,
-                times=tuple(times[n] for n in grid),
-                baseline_time=times[baseline],
+                times=times[position(grid_array(grid))],
+                baseline_time=float(times[position(baseline)]),
                 baseline_workers=baseline,
                 label=label or target.label,
             )
@@ -240,8 +249,7 @@ class AnalyticBackend(EvaluationBackend):
     name: ClassVar[str] = "analytic"
 
     def evaluate(self, target: EvaluationTarget, workers: Iterable[int]) -> np.ndarray:
-        grid = np.asarray(workers, dtype=float)
-        return np.asarray(target.model.times(grid), dtype=float)
+        return np.asarray(target.model.times(workers), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -290,7 +298,7 @@ class CalibratedBackend(EvaluationBackend):
         return CalibrationOutcome(
             features=self.features,
             workers=grid,
-            measured=tuple(float(t) for t in measured),
+            measured=tuple(np.asarray(measured, dtype=float).tolist()),
             result=result,
         )
 

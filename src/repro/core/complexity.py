@@ -39,6 +39,7 @@ import numpy as np
 
 from repro.core.communication import CommunicationModel, CompositeCommunication
 from repro.core.errors import ModelError
+from repro.core.speedup import grid_array
 
 #: Component kinds understood by the generic decomposition aliases.
 KIND_COMPUTATION = "computation"
@@ -52,9 +53,10 @@ def as_worker_array(workers: Iterable[int] | np.ndarray) -> np.ndarray:
     Accepts any iterable of counts (list, range, tuple, ndarray).  Worker
     counts must be finite and >= 1; fractional counts are rejected so a
     batched call can never silently evaluate a grid the scalar API would
-    refuse.
+    refuse.  A :class:`~repro.core.speedup.WorkerGrid` is read from its
+    cached array rather than converted again.
     """
-    array = np.asarray(workers, dtype=float)
+    array = grid_array(workers)
     if array.ndim == 0:
         array = array.reshape(1)
     if array.ndim != 1:

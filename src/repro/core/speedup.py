@@ -9,6 +9,7 @@ FLOPS reached).
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -25,11 +26,75 @@ TimeFunction = Callable[[int], float]
 TimeSource = TimeFunction
 
 
-def _evaluate_times(source: TimeSource, workers: Sequence[int]) -> list[float]:
+class WorkerGrid(tuple):
+    """A checked worker grid: a non-empty tuple of unique ints, each >= 1.
+
+    ``WorkerGrid(workers)`` checks its input and raises
+    :class:`ModelError` on anything else.  Where a grid has just been
+    checked — the scenario parser, a backend's grid check, a union of
+    checked grids — :meth:`_trusted` wraps it without another pass.
+    From there it passes down unchanged: :meth:`cast`, a backend's grid
+    check and :class:`SpeedupCurve` accept it without a per-element
+    pass.  To everything else it is the plain tuple (equality, hashing,
+    ``repr``, JSON, pickling), plus a read-only float64 :attr:`array`
+    built on first use.
+    """
+
+    def __new__(cls, workers: Iterable[int]) -> "WorkerGrid":
+        grid = tuple(workers)
+        if (
+            not grid
+            or not all(type(n) is int for n in grid)
+            or min(grid) < 1
+            or len(set(grid)) != len(grid)
+        ):
+            raise ModelError(
+                f"a worker grid needs unique ints >= 1, got {grid!r:.80}"
+            )
+        return cls._trusted(grid)
+
+    @classmethod
+    def _trusted(cls, workers: Iterable[int]) -> "WorkerGrid":
+        """Wrap counts the caller has already checked, with no pass over them."""
+        return tuple.__new__(cls, workers)
+
+    def __reduce__(self):
+        return (WorkerGrid, (tuple(self),))
+
+    @property
+    def array(self) -> np.ndarray:
+        """The grid as a read-only float64 array, built once."""
+        array = self.__dict__.get("_array")
+        if array is None:
+            array = np.array(self, dtype=float)
+            array.flags.writeable = False
+            self.__dict__["_array"] = array
+        return array
+
+    @staticmethod
+    def cast(workers: Iterable[int]) -> tuple[int, ...]:
+        """A :class:`WorkerGrid` as it is; anything else cast element by element.
+
+        The element-wise branch is the unchecked-input path: callers
+        check its result with their own errors.
+        """
+        if isinstance(workers, WorkerGrid):
+            return workers
+        return tuple(int(n) for n in workers)
+
+
+def grid_array(workers: Sequence[int]) -> np.ndarray:
+    """A worker grid as float64: a :class:`WorkerGrid`'s cached array, else one conversion."""
+    if isinstance(workers, WorkerGrid):
+        return workers.array
+    return np.asarray(workers, dtype=float)
+
+
+def _evaluate_times(source: TimeSource, workers: Sequence[int]) -> np.ndarray:
     """Evaluate a time source on a grid — one numpy call when batched."""
     if hasattr(source, "times"):
-        return [float(t) for t in source.times(np.asarray(workers, dtype=float))]
-    return [float(source(n)) for n in workers]
+        return np.asarray(source.times(grid_array(workers)), dtype=float)
+    return np.array([float(source(n)) for n in workers])
 
 
 def derive_curve(
@@ -48,7 +113,7 @@ def derive_curve(
     # Python floats overflow to inf silently; so does this.
     with np.errstate(over="ignore"):
         speedups = baseline_time / np.asarray(times, dtype=float)
-        efficiencies = speedups * baseline_workers / np.asarray(workers, dtype=float)
+        efficiencies = speedups * baseline_workers / grid_array(workers)
     return speedups, efficiencies
 
 
@@ -71,6 +136,12 @@ class SpeedupCurve:
     contains ``workers == 1`` it defaults to that entry.  ``baseline_workers``
     records the reference point (1 for ordinary speedup; Figure 3 of the
     paper uses 50).
+
+    Times must be positive and finite.  ``times`` may arrive as any
+    float sequence (a backend passes its float64 result array); it is
+    stored as a tuple, and the float64 copy the check reads is kept for
+    the derivation.  A :class:`WorkerGrid` skips the per-element worker
+    checks: it was checked where it entered the program.
     """
 
     workers: tuple[int, ...]
@@ -82,18 +153,33 @@ class SpeedupCurve:
     def __post_init__(self) -> None:
         if len(self.workers) != len(self.times):
             raise ModelError("workers and times must have the same length")
-        if not self.workers:
-            raise ModelError("a speedup curve needs at least one point")
-        if any(n < 1 for n in self.workers):
-            raise ModelError("worker counts must be >= 1")
-        if len(set(self.workers)) != len(self.workers):
-            raise ModelError("worker counts must be unique")
-        if any(t <= 0 for t in self.times):
+        if not isinstance(self.workers, WorkerGrid):
+            if not self.workers:
+                raise ModelError("a speedup curve needs at least one point")
+            if any(n < 1 for n in self.workers):
+                raise ModelError("worker counts must be >= 1")
+            if len(set(self.workers)) != len(self.workers):
+                raise ModelError("worker counts must be unique")
+        times = np.array(self.times, dtype=float)
+        if (times <= 0).any():
             raise ModelError("times must be positive")
+        if not np.isfinite(times).all():
+            # An overflowed time would derive inf/inf = NaN speedups.
+            bad = int(np.flatnonzero(~np.isfinite(times))[0])
+            raise ModelError(
+                f"times must be finite, got {times[bad]} at {self.workers[bad]} workers"
+            )
         if self.baseline_time <= 0:
             raise ModelError("baseline_time must be positive")
+        if not math.isfinite(self.baseline_time):
+            raise ModelError(f"baseline_time must be finite, got {self.baseline_time}")
         if self.baseline_workers < 1:
             raise ModelError("baseline_workers must be >= 1")
+        times.flags.writeable = False
+        # Not fields: equality, hashing and repr never see them.
+        if not isinstance(self.times, tuple):
+            object.__setattr__(self, "times", tuple(times.tolist()))
+        object.__setattr__(self, "_times_array", times)
 
     @classmethod
     def from_times(
@@ -104,14 +190,14 @@ class SpeedupCurve:
         label: str = "",
     ) -> "SpeedupCurve":
         """Build a curve, taking ``t(baseline_workers)`` from the grid itself."""
-        workers_t = tuple(int(n) for n in workers)
-        times_t = tuple(float(t) for t in times)
+        workers_t = WorkerGrid.cast(workers)
+        times_a = np.array(times, dtype=float)
         if baseline_workers not in workers_t:
             raise ModelError(
                 f"baseline worker count {baseline_workers} is not on the grid {workers_t}"
             )
-        baseline_time = times_t[workers_t.index(baseline_workers)]
-        return cls(workers_t, times_t, baseline_time, baseline_workers, label)
+        baseline_time = float(times_a[workers_t.index(baseline_workers)])
+        return cls(workers_t, times_a, baseline_time, baseline_workers, label)
 
     @classmethod
     def from_model(
@@ -130,13 +216,13 @@ class SpeedupCurve:
         taken from the grid when the baseline lies on it — never
         recomputed.
         """
-        workers_t = tuple(int(n) for n in workers)
-        times_t = tuple(_evaluate_times(model, workers_t))
+        workers_t = WorkerGrid.cast(workers)
+        times_a = _evaluate_times(model, workers_t)
         if baseline_workers in workers_t:
-            baseline_time = times_t[workers_t.index(baseline_workers)]
+            baseline_time = float(times_a[workers_t.index(baseline_workers)])
         else:
-            baseline_time = _evaluate_times(model, (baseline_workers,))[0]
-        return cls(workers_t, times_t, baseline_time, baseline_workers, label)
+            baseline_time = float(_evaluate_times(model, (baseline_workers,))[0])
+        return cls(workers_t, times_a, baseline_time, baseline_workers, label)
 
     @property
     def _derived(self) -> _Derived:
@@ -148,19 +234,22 @@ class SpeedupCurve:
         """
         derived = self.__dict__.get("_derived_cache")
         if derived is None:
+            workers = grid_array(self.workers)
             speedups, efficiencies = derive_curve(
-                self.times, self.workers, self.baseline_time, self.baseline_workers
+                self.__dict__["_times_array"],
+                workers,
+                self.baseline_time,
+                self.baseline_workers,
             )
-            speedups_t = tuple(speedups.tolist())
-            peak = max(speedups_t)
+            peak = float(speedups.max())
+            at_peak = np.flatnonzero(speedups == peak)
             derived = _Derived(
-                speedups=speedups_t,
+                speedups=tuple(speedups.tolist()),
                 efficiencies=tuple(efficiencies.tolist()),
                 peak_speedup=peak,
-                optimal_workers=min(
-                    n for n, s in zip(self.workers, speedups_t) if s == peak
-                ),
-                is_scalable=any(s > 1.0 + 1e-12 for s in speedups_t),
+                optimal_workers=self.workers[at_peak[workers[at_peak].argmin()]],
+                # Some point beats the threshold exactly when the peak does.
+                is_scalable=peak > 1.0 + 1e-12,
             )
             # Works on the frozen dataclass: the cache is not a field.
             object.__setattr__(self, "_derived_cache", derived)
@@ -239,7 +328,9 @@ def speedup_grid(model: TimeSource, max_workers: int, baseline_workers: int = 1)
     """Evaluate a time source on ``1..max_workers`` and wrap as a curve."""
     if max_workers < 1:
         raise ModelError(f"max_workers must be >= 1, got {max_workers}")
-    return SpeedupCurve.from_model(model, range(1, max_workers + 1), baseline_workers)
+    return SpeedupCurve.from_model(
+        model, WorkerGrid._trusted(range(1, max_workers + 1)), baseline_workers
+    )
 
 
 def optimal_workers(model: TimeSource, max_workers: int) -> int:

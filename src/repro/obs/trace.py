@@ -11,6 +11,14 @@ correctly), and the recording pid/thread.  Records accumulate in a
 bounded in-memory buffer drained by :meth:`Tracer.stop` /
 :meth:`Tracer.drain`.
 
+The buffer is one flat list of each span's fields and attrs, never a
+container object per span: a recorded span leaves behind only strings
+and numbers, which the cyclic GC does not count.  Two counted objects
+per span (a record and its attrs dict) are enough for a traced sweep to
+cross the gen-0 threshold and pay a collection that walks every young
+payload list the sweep holds.  :class:`SpanRecord` objects are built
+only when the buffer is drained.
+
 Cross-process propagation: sweep chunks that run on the process pool
 carry ``(trace_id, parent_span_id)`` in their task arguments; the
 worker calls :meth:`Tracer.adopt` so its spans re-parent under the
@@ -35,6 +43,10 @@ __all__ = ["NOOP_SPAN", "SpanRecord", "Tracer", "new_id", "tracer"]
 # Spans kept per process before the tracer starts dropping (and counting
 # drops); a million-point sweep with tracing on stays bounded.
 MAX_SPANS = 100_000
+
+#: SpanRecord fields in buffer order.  Each buffered span is these
+#: nine values, its attr count, then alternating attr keys and values.
+_FIELDS = 9
 
 
 def new_id() -> str:
@@ -163,19 +175,19 @@ class _Span:
             _CURRENT.reset(self._token)
         if exc_type is not None:
             self.attrs["error"] = exc_type.__name__
-        self._tracer._append(
-            SpanRecord(
-                name=self.name,
-                trace_id=self.trace_id,
-                span_id=self.span_id,
-                parent_id=self.parent_id,
-                start_s=self._start,
-                wall_s=wall,
-                cpu_s=cpu,
-                pid=os.getpid(),
-                thread=threading.current_thread().name,
-                attrs=self.attrs,
-            )
+        self._tracer._record(
+            (
+                self.name,
+                self.trace_id,
+                self.span_id,
+                self.parent_id,
+                self._start,
+                wall,
+                cpu,
+                os.getpid(),
+                threading.current_thread().name,
+            ),
+            self.attrs,
         )
         return None
 
@@ -194,13 +206,14 @@ class Tracer:
         self.max_spans = max_spans
         self.dropped = 0
         self._lock = threading.Lock()
-        self._records: list[SpanRecord] = []
+        self._buffer: list[Any] = []
+        self._count = 0
 
     # -- lifecycle ----------------------------------------------------
     def start(self, trace_id: str | None = None) -> str:
         """Begin recording a fresh trace; returns its trace id."""
         with self._lock:
-            self._records = []
+            self._buffer, self._count = [], 0
             self.dropped = 0
         self.trace_id = trace_id or new_id()
         self.enabled = True
@@ -217,7 +230,7 @@ class Tracer:
         self.enabled = False
         self.trace_id = None
         with self._lock:
-            self._records = []
+            self._buffer, self._count = [], 0
             self.dropped = 0
         _CURRENT.set(None)
 
@@ -249,31 +262,52 @@ class Tracer:
             tid, parent = trace_id or self.trace_id or new_id(), None
         return _Span(self, name, tid, parent, dict(attrs) if attrs else {})
 
-    def _append(self, record: SpanRecord) -> None:
+    def _record(self, fields: tuple, attrs: Mapping[str, Any]) -> None:
+        """Buffer one finished span: its :data:`_FIELDS` values, then its attrs."""
         with self._lock:
-            if len(self._records) >= self.max_spans:
+            if self._count >= self.max_spans:
                 self.dropped += 1
                 return
-            self._records.append(record)
+            buffer = self._buffer
+            buffer += fields
+            buffer.append(len(attrs))
+            for item in attrs.items():
+                buffer += item
+            self._count += 1
 
     def absorb(self, records) -> None:
         """Fold externally recorded spans (e.g. pool workers) into the buffer."""
-        spans = [
-            r if isinstance(r, SpanRecord) else SpanRecord.from_dict(r)
-            for r in records
-        ]
-        with self._lock:
-            room = self.max_spans - len(self._records)
-            if room < len(spans):
-                self.dropped += len(spans) - max(room, 0)
-                spans = spans[: max(room, 0)]
-            self._records.extend(spans)
+        for record in records:
+            if not isinstance(record, SpanRecord):
+                record = SpanRecord.from_dict(record)
+            self._record(
+                (
+                    record.name,
+                    record.trace_id,
+                    record.span_id,
+                    record.parent_id,
+                    record.start_s,
+                    record.wall_s,
+                    record.cpu_s,
+                    record.pid,
+                    record.thread,
+                ),
+                record.attrs,
+            )
 
     def drain(self) -> list[SpanRecord]:
         """Return and clear all buffered records."""
         with self._lock:
-            records, self._records = self._records, []
-            return records
+            buffer, self._buffer, self._count = self._buffer, [], 0
+        records = []
+        index = 0
+        while index < len(buffer):
+            fields = buffer[index : index + _FIELDS]
+            start = index + _FIELDS + 1
+            index = start + 2 * buffer[start - 1]
+            attrs = dict(zip(buffer[start:index:2], buffer[start + 1 : index : 2]))
+            records.append(SpanRecord(*fields, attrs=attrs))
+        return records
 
     def current(self) -> tuple[str, str] | None:
         """(trace_id, span_id) of the innermost open span, if any."""
@@ -281,7 +315,7 @@ class Tracer:
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._records)
+            return self._count
 
 
 _TRACER = Tracer()

@@ -77,9 +77,21 @@ def point_cost_usd(
     plan: PlanSpec, node_slug: str, workers: int, time_s: float
 ) -> float:
     """Dollars to execute the plan's ``runs`` runs on this candidate."""
-    price = plan.price_per_node_hour(node_slug)
-    hours = time_s * plan.runs / 3600.0
-    if plan.node_is_shared_memory(node_slug):
+    return _cost_usd(
+        plan.price_per_node_hour(node_slug),
+        plan.node_is_shared_memory(node_slug),
+        plan.runs,
+        workers,
+        time_s,
+    )
+
+
+def _cost_usd(
+    price: float, shared_memory: bool, runs: int, workers: int, time_s: float
+) -> float:
+    """The one pricing formula, over a node's already-resolved price."""
+    hours = time_s * runs / 3600.0
+    if shared_memory:
         return price * hours  # whole machine, however many cores run
     return workers * price * hours
 
@@ -107,13 +119,16 @@ def _candidate_points(
         units = work_units_per_run(
             point_spec.algorithm.kind, point_spec.algorithm.params_dict
         )
+        # One catalog lookup per configuration, not per worker count.
+        price = plan.price_per_node_hour(node)
+        shared_memory = plan.node_is_shared_memory(node)
         for n, t, s, e in zip(
             point["workers"],
             point["times_s"],
             point["speedups"],
             point["efficiencies"],
         ):
-            cost = point_cost_usd(plan, node, int(n), float(t))
+            cost = _cost_usd(price, shared_memory, plan.runs, int(n), float(t))
             violations = plan.constraints.violations(float(t), cost, float(e))
             candidates.append(
                 PlanPoint(

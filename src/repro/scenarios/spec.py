@@ -68,6 +68,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.core.errors import ScenarioError
+from repro.core.speedup import WorkerGrid
 from repro.net.topology import TOPOLOGY_SWEEP_AXES, validate_topology_options
 from repro.simulate.overhead import OVERHEAD_PRESETS
 
@@ -315,7 +316,12 @@ def _parse_algorithm(data: object) -> AlgorithmSection:
     return AlgorithmSection(kind=kind, params=tuple(sorted(params_map.items())))
 
 
-def _parse_workers(data: object) -> tuple[int, ...]:
+def _parse_workers(data: object) -> WorkerGrid:
+    """The spec's worker grid, checked here once for the whole program.
+
+    Every curve the spec's sweep, plan or request evaluates receives
+    this :class:`~repro.core.speedup.WorkerGrid` unchanged.
+    """
     if isinstance(data, Mapping):
         _reject_unknown(data, ("min", "max", "step"), "workers")
         low = data.get("min", 1)
@@ -338,7 +344,7 @@ def _parse_workers(data: object) -> tuple[int, ...]:
                 f"workers range has {count} points; the limit is"
                 f" {MAX_WORKER_GRID_POINTS}"
             )
-        return tuple(range(low, high + 1, step))
+        return WorkerGrid._trusted(range(low, high + 1, step))
     if isinstance(data, Sequence) and not isinstance(data, (str, bytes)):
         grid = []
         for value in data:
@@ -356,7 +362,7 @@ def _parse_workers(data: object) -> tuple[int, ...]:
             )
         if len(set(grid)) != len(grid):
             raise ScenarioError("worker counts must be unique")
-        return tuple(grid)
+        return WorkerGrid._trusted(grid)
     raise ScenarioError(
         "'workers' must be a {min, max[, step]} range or a list of counts"
     )

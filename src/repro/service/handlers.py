@@ -37,6 +37,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.core.backend import EvaluationBackend, EvaluationTarget
 from repro.core.calibration import FEATURE_LIBRARIES
+from repro.core.speedup import WorkerGrid
 from repro.obs.metrics import MetricsRegistry
 from repro.planner.spec import PLANNER_VERSION, PlanSpec, parse_plan
 from repro.scenarios import (
@@ -218,7 +219,7 @@ class Coalescer:
 
         Returns ``(curve, backend, batch_size)``.
         """
-        member = _Member(grid=tuple(grid), baseline=int(baseline))
+        member = _Member(grid=WorkerGrid.cast(grid), baseline=int(baseline))
         with self._lock:
             self._requests.inc()
             batch = self._pending.get(key)

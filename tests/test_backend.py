@@ -7,9 +7,11 @@ the straggler jitter model.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.core.backend import AnalyticBackend, CalibratedBackend, EvaluationTarget
 from repro.core.errors import (
@@ -33,10 +35,12 @@ from repro.scenarios import (
     simulation_issue,
     with_backend,
 )
+from repro.core.speedup import WorkerGrid
 from repro.scenarios.sweep import curve_record
 from repro.simulate.backend import SimulatedBackend
 from repro.simulate.overhead import SPARK_LIKE_OVERHEAD
 from repro.simulate.rng import StragglerJitter, derive_seed, stream
+from tests.strategies import ALL_KINDS, scenario_documents
 
 
 def minimal_spec(**overrides) -> dict:
@@ -519,3 +523,156 @@ class TestCurvesBatch:
     def test_empty_request_list_is_empty(self):
         target, backend = self._target({"kind": "analytic"})
         assert backend.curves(target, []) == []
+
+
+class TestCheckOnce:
+    """A spec's worker grid is checked where it is parsed, and nowhere
+    downstream: no per-element pass runs per sweep point."""
+
+    @pytest.fixture
+    def cast_calls(self, monkeypatch):
+        """The inputs that took ``WorkerGrid.cast``'s element-wise branch."""
+        calls = []
+        original = WorkerGrid.cast
+
+        def counting(workers):
+            if not isinstance(workers, WorkerGrid):
+                calls.append(workers)
+            return original(workers)
+
+        monkeypatch.setattr(WorkerGrid, "cast", staticmethod(counting))
+        return calls
+
+    def test_spec_grids_are_checked_grids(self):
+        ranged = parse_scenario(minimal_spec())
+        listed = parse_scenario(minimal_spec(workers=[1, 3, 9]))
+        assert isinstance(ranged.workers, WorkerGrid)
+        assert isinstance(listed.workers, WorkerGrid)
+        assert listed.workers == (1, 3, 9)
+
+    def test_serial_analytic_sweep_runs_no_unchecked_pass(self, cast_calls):
+        spec = parse_scenario(
+            minimal_spec(
+                workers={"min": 1, "max": 512},
+                sweep={"flops": [1e9, 2e9, 4e9], "bandwidth_bps": [1e9, 1e10]},
+            )
+        )
+        result = SweepRunner(mode="serial", use_cache=False).run(spec)
+        assert len(result.points) == 6
+        assert cast_calls == []
+
+    def test_service_style_batches_cast_only_their_baselines(self, cast_calls):
+        spec = parse_scenario(minimal_spec())
+        target, backend = compile_point(spec)
+        backend.curve(target, spec.workers, spec.baseline_workers)
+        (curve,) = backend.curves(target, [(spec.workers, spec.baseline_workers)])
+        # The one cast: the request's baselines, not its grid.
+        assert cast_calls == [[1]]
+        assert isinstance(curve.workers, WorkerGrid)
+
+    def test_a_served_evaluate_keeps_the_checked_grid(self, cast_calls):
+        from repro.service.handlers import EvaluationService
+
+        service = EvaluationService(use_cache=False)
+        try:
+            outcome = service.handle_evaluate({"scenario": minimal_spec()})
+        finally:
+            service.close()
+        assert outcome.result["workers"] == list(range(1, 9))
+        assert cast_calls == [[1]]
+
+    def test_unchecked_input_takes_the_unchecked_path(self, cast_calls):
+        target, backend = compile_point(parse_scenario(minimal_spec()))
+        backend.curve(target, [1, 2, 4])
+        assert cast_calls == [[1, 2, 4]]
+
+
+#: Unchecked grids and the exact errors they raised before grids were
+#: checked once; ``None`` means the call succeeds.
+GRID_CASES = {
+    "empty": ([], "a backend evaluation needs at least one worker count"),
+    "zero": ([4, 0, 2], "worker counts must be >= 1, got 0"),
+    "negative": ([1, -3, 2], "worker counts must be >= 1, got -3"),
+    "duplicate": ([1, 2, 2], None),
+}
+
+
+class TestGridErrorParity:
+    @pytest.fixture(scope="class")
+    def point(self):
+        return compile_point(parse_scenario(minimal_spec()))
+
+    def _raises(self, call, message):
+        if message is None:
+            return call()
+        with pytest.raises(ModelError) as excinfo:
+            call()
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("case", GRID_CASES)
+    def test_evaluate(self, point, case):
+        target, backend = point
+        workers, message = GRID_CASES[case]
+        result = self._raises(lambda: backend.evaluate(target, workers), message)
+        if message is None:  # a repeated count still evaluates point by point
+            assert result.shape == (3,) and result[1] == result[2]
+
+    @pytest.mark.parametrize("case", GRID_CASES)
+    def test_curve_and_curves(self, point, case):
+        target, backend = point
+        workers, message = GRID_CASES[case]
+        message = message or "worker counts must be unique"
+        self._raises(lambda: backend.curve(target, workers), message)
+        self._raises(lambda: backend.curves(target, [(workers, 1)]), message)
+
+    @pytest.mark.parametrize("baseline", [0, -3])
+    def test_curves_checks_baselines(self, point, baseline):
+        target, backend = point
+        self._raises(
+            lambda: backend.curves(target, [([1, 2], baseline)]),
+            f"worker counts must be >= 1, got {baseline}",
+        )
+
+
+#: Deterministic kinds only: a Monte-Carlo model is tabulated on its
+#: spec's own grid, so it cannot answer an arbitrary range.
+DETERMINISTIC_KINDS = tuple(kind for kind in ALL_KINDS if kind != "belief_propagation")
+
+
+class TestGridFormsAgree:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(scenario_documents(kinds=DETERMINISTIC_KINDS, max_workers=64))
+    def test_every_grid_form_gives_the_checked_grid_bytes(self, document):
+        spec = parse_scenario(document)
+        target, backend = compile_point(spec)
+        baseline = spec.baseline_workers
+
+        def record_bytes(workers):
+            return json.dumps(curve_record(backend.curve(target, workers, baseline)))
+
+        checked = record_bytes(spec.workers)
+        assert record_bytes(list(spec.workers)) == checked
+        assert record_bytes(n for n in spec.workers) == checked
+        assert record_bytes(np.array(spec.workers, dtype=np.int64)) == checked
+        span = range(1, len(spec.workers) + 1)
+        assert record_bytes(span) == record_bytes(WorkerGrid(span))
+
+
+class TestGridLint:
+    """The per-element passes over a grid live on one unchecked path."""
+
+    CORE = Path(__file__).resolve().parent.parent / "src" / "repro" / "core"
+
+    def test_no_per_element_float_loops(self):
+        for name in ("backend.py", "speedup.py"):
+            assert "float(t) for t in" not in (self.CORE / name).read_text(), name
+
+    def test_one_per_element_int_cast(self):
+        import inspect
+
+        counts = {
+            name: (self.CORE / name).read_text().count("int(n) for n in")
+            for name in ("backend.py", "speedup.py")
+        }
+        assert counts == {"backend.py": 0, "speedup.py": 1}
+        assert "int(n) for n in" in inspect.getsource(WorkerGrid.cast)

@@ -208,6 +208,34 @@ class TestTracer:
         assert len(trace) == 2
         assert trace.dropped == 3
 
+    def test_absorb_counts_what_overflows_the_buffer(self):
+        trace = Tracer(max_spans=2)
+        trace.start()
+        with trace.span("local"):
+            pass
+        trace.absorb([r.to_dict() for r in Tracer().drain()] + [
+            {"name": f"worker-{i}", "trace_id": "t", "span_id": f"s{i}",
+             "start_s": 0.0, "wall_s": 0.0, "cpu_s": 0.0, "pid": 1}
+            for i in range(3)
+        ])
+        assert [r.name for r in trace.drain()] == ["local", "worker-0"]
+        assert trace.dropped == 2
+
+    def test_recorded_spans_hold_no_container_objects(self, clean_tracer):
+        # A per-span record object and attrs dict (two GC-counted objects
+        # per span) push a traced sweep over the gen-0 threshold, and
+        # that collection walks every young payload list the sweep holds.
+        trace = clean_tracer
+        trace.start()
+        for index in range(50):
+            with trace.span("hot", {"backend": "analytic", "index": index}) as span:
+                span.set(points=4096)
+        held = {type(value) for value in trace._buffer}
+        assert held <= {str, int, float, type(None)}, held
+        records = trace.stop()
+        assert len(records) == 50
+        assert records[7].attrs == {"backend": "analytic", "index": 7, "points": 4096}
+
     def test_exceptions_stamp_an_error_attr(self, clean_tracer):
         trace = clean_tracer
         trace.start()

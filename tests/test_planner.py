@@ -391,6 +391,33 @@ class TestCostModel:
         assert one_core == pytest.approx(all_cores)
         assert one_core == pytest.approx(6.0 * 10.0 * 1 / 3600)  # runs defaults to 1
 
+    def test_each_configuration_is_priced_once(self, monkeypatch):
+        from repro.planner.spec import PlanSpec
+
+        lookups: list[str] = []
+        for name in ("price_per_node_hour", "node_is_shared_memory"):
+            original = getattr(PlanSpec, name)
+
+            def counted(self, slug, _original=original, _name=name):
+                lookups.append(_name)
+                return _original(self, slug)
+
+            monkeypatch.setattr(PlanSpec, name, counted)
+        plan = load_builtin_plan("plan-gd-deadline")
+        candidates = run_plan(
+            plan, runner=SweepRunner(mode="serial", use_cache=False)
+        ).candidates
+        configurations = len({(p.node, p.link, p.topology) for p in candidates})
+        assert len(candidates) > configurations
+        assert lookups.count("price_per_node_hour") == configurations
+        assert lookups.count("node_is_shared_memory") == configurations
+        monkeypatch.undo()
+        # One formula: the exported pricer agrees with every candidate.
+        for point in candidates:
+            assert point.cost_usd == point_cost_usd(
+                plan, point.node, point.workers, point.time_s
+            )
+
     def test_work_units_per_kind(self):
         assert work_units_per_run("spark_gradient_descent", {"batch_size": 6e4}) == 6e4
         assert work_units_per_run("bsp", {"operations_per_superstep": 1e12}) == 1e12

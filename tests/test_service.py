@@ -67,6 +67,22 @@ SIMULATED_POINT = {
 }
 
 
+OVERFLOWING_POINT = {
+    "name": "service-test-overflow",
+    "description": "valid parameters whose modelled times overflow to inf",
+    "hardware": {"flops": 1e9, "bandwidth_bps": 1e9},
+    "algorithm": {
+        "kind": "gradient_descent",
+        "params": {
+            "operations_per_sample": 1e300,
+            "parameters": 1e300,
+            "batch_size": 10**10,
+        },
+    },
+    "workers": [1, 2, 4],
+}
+
+
 @pytest.fixture(scope="module")
 def server(tmp_path_factory):
     cache_dir = tmp_path_factory.mktemp("service-cache")
@@ -293,6 +309,16 @@ class TestEndToEndRoundTrip:
         assert excinfo.value.status == 400
         assert excinfo.value.code == "bad-request"
         assert named in str(excinfo.value)
+
+    @pytest.mark.parametrize("method", ["evaluate", "sweep"])
+    def test_overflowing_times_are_400(self, client, method):
+        # A valid spec whose every time overflows to inf: the curve
+        # refuses it instead of deriving inf/inf = NaN speedups.
+        with pytest.raises(ServiceClientError) as excinfo:
+            client._request("POST", f"/v1/{method}", {"scenario": OVERFLOWING_POINT})
+        assert excinfo.value.status == 400
+        assert excinfo.value.code == "bad-request"
+        assert "times must be finite, got inf at 1 workers" in str(excinfo.value)
 
 
 class TestHotPathCaching:

@@ -1,12 +1,17 @@
 """Tests for repro.core.speedup."""
 
+import math
 import pickle
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import ModelError
 from repro.core.speedup import (
     SpeedupCurve,
+    WorkerGrid,
     crossover_workers,
     optimal_workers,
     scalability_limit,
@@ -182,3 +187,162 @@ class TestKnee:
             curve.knee(0.0)
         with pytest.raises(ModelError):
             curve.knee(1.5)
+
+
+class TestFiniteTimes:
+    """An overflowed time would derive ``inf/inf = NaN`` speedups and an
+    empty argmax; the curve refuses it with a ModelError instead."""
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_times_rejected(self, bad):
+        with pytest.raises(ModelError, match=r"times must be finite, got (inf|nan) at 2 workers"):
+            SpeedupCurve((1, 2, 4), (1.0, bad, 0.5), 1.0)
+        with pytest.raises(ModelError, match="times must be finite"):
+            SpeedupCurve.from_times([1, 2, 4], [1.0, bad, 0.5])
+
+    def test_every_time_overflowed(self):
+        with pytest.raises(ModelError, match="times must be finite, got inf at 1 workers"):
+            SpeedupCurve.from_times([1, 2, 4], [math.inf] * 3)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_baseline_time_rejected(self, bad):
+        with pytest.raises(ModelError, match="baseline_time must be finite"):
+            SpeedupCurve((2, 4), (1.0, 0.5), bad, baseline_workers=1)
+
+    def test_negative_infinity_is_still_non_positive(self):
+        with pytest.raises(ModelError, match="times must be positive"):
+            SpeedupCurve((1, 2), (1.0, -math.inf), 1.0)
+
+
+class TestUncheckedErrorParity:
+    """Plain (unchecked) inputs keep the curve's historical messages."""
+
+    @pytest.mark.parametrize(
+        "workers, times, message",
+        (
+            ((), (), "a speedup curve needs at least one point"),
+            ((4, 0, 2), (1.0, 1.0, 1.0), "worker counts must be >= 1"),
+            ((1, -3, 2), (1.0, 1.0, 1.0), "worker counts must be >= 1"),
+            ((1, 2, 2), (1.0, 1.0, 1.0), "worker counts must be unique"),
+            ((1, 2), (1.0, 0.0), "times must be positive"),
+            ((1, 2), (1.0, -2.0), "times must be positive"),
+            ((1, 2), (1.0,), "workers and times must have the same length"),
+        ),
+        ids=("empty", "zero", "negative", "duplicate", "zero-time", "negative-time", "length"),
+    )
+    def test_constructor_messages(self, workers, times, message):
+        with pytest.raises(ModelError) as excinfo:
+            SpeedupCurve(workers, times, 1.0)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize(
+        "workers, times, baseline, message",
+        (
+            ([], [], 1, "baseline worker count 1 is not on the grid ()"),
+            ([4, 0, 2], [1.0, 1.0, 1.0], 4, "worker counts must be >= 1"),
+            ([1, -3, 2], [1.0, 1.0, 1.0], 1, "worker counts must be >= 1"),
+            ([1, 2, 2], [1.0, 1.0, 1.0], 1, "worker counts must be unique"),
+            ([1, 2], [1.0, 0.0], 1, "times must be positive"),
+            ([2, 4], [1.0, 0.5], 1, "baseline worker count 1 is not on the grid (2, 4)"),
+        ),
+        ids=("empty", "zero", "negative", "duplicate", "zero-time", "off-grid"),
+    )
+    def test_from_times_messages(self, workers, times, baseline, message):
+        with pytest.raises(ModelError) as excinfo:
+            SpeedupCurve.from_times(workers, times, baseline_workers=baseline)
+        assert str(excinfo.value) == message
+
+    def test_baseline_messages(self):
+        with pytest.raises(ModelError, match="^baseline_time must be positive$"):
+            SpeedupCurve((1, 2), (1.0, 2.0), 0.0)
+        with pytest.raises(ModelError, match="^baseline_workers must be >= 1$"):
+            SpeedupCurve((1, 2), (1.0, 2.0), 1.0, 0)
+
+
+class TestWorkerGrid:
+    def test_is_the_plain_tuple_to_everything_else(self):
+        grid = WorkerGrid((1, 2, 4))
+        assert grid == (1, 2, 4)
+        assert hash(grid) == hash((1, 2, 4))
+        assert repr(grid) == "(1, 2, 4)"
+        shipped = pickle.loads(pickle.dumps(grid))
+        assert type(shipped) is WorkerGrid and shipped == grid
+
+    @pytest.mark.parametrize(
+        "workers",
+        [(), (0, 1), (1, -2), (1, 2, 2), (1, 2.0), (True, 2), (np.int64(1), 2)],
+        ids=["empty", "zero", "negative", "duplicate", "float", "bool", "int64"],
+    )
+    def test_the_public_constructor_checks(self, workers):
+        with pytest.raises(ModelError, match="^a worker grid needs unique ints >= 1"):
+            WorkerGrid(workers)
+
+    def test_cast_passes_a_checked_grid_through(self):
+        grid = WorkerGrid((1, 2, 4))
+        assert WorkerGrid.cast(grid) is grid
+        assert type(WorkerGrid.cast([1, 2, 4])) is tuple
+
+    def test_array_is_cached_read_only_float64(self):
+        grid = WorkerGrid(range(1, 6))
+        assert grid.array is grid.array
+        assert grid.array.dtype == np.float64
+        assert grid.array.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+        with pytest.raises(ValueError):
+            grid.array[0] = 7.0
+
+    def test_checked_and_plain_grids_build_equal_curves(self):
+        times = (10.0, 6.0, 4.0, 4.5)
+        checked = SpeedupCurve.from_times(WorkerGrid((1, 2, 3, 4)), times)
+        plain = SpeedupCurve.from_times([1, 2, 3, 4], times)
+        assert checked == plain
+        assert checked.rows() == plain.rows()
+
+    def test_an_array_of_times_is_stored_as_a_tuple(self):
+        curve = SpeedupCurve(WorkerGrid((1, 2)), np.array([2.0, 1.0]), 2.0)
+        assert curve.times == (2.0, 1.0)
+        assert all(type(t) is float for t in curve.times)
+        hash(curve)
+
+
+def reference_derivation(workers, times, baseline_time, baseline_workers):
+    """The pure-Python arithmetic the numpy derivation must equal bit for bit."""
+    speedups = [baseline_time / t for t in times]
+    peak = max(speedups)
+    return (
+        speedups,
+        [s * baseline_workers / n for s, n in zip(speedups, workers)],
+        peak,
+        min(n for n, s in zip(workers, speedups) if s == peak),
+        any(s > 1.0 + 1e-12 for s in speedups),
+    )
+
+
+class TestNumpyDerivation:
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(
+        st.lists(st.integers(1, 512), min_size=1, max_size=40, unique=True).flatmap(
+            lambda workers: st.tuples(
+                st.just(workers),
+                st.lists(
+                    st.sampled_from([0.5, 1.0, 2.0, 3.0])
+                    | st.floats(1e-300, 1e300, allow_nan=False, allow_infinity=False),
+                    min_size=len(workers),
+                    max_size=len(workers),
+                ),
+                st.sampled_from(workers),
+            )
+        )
+    )
+    def test_matches_the_python_reference(self, case):
+        workers, times, baseline = case
+        for grid in (workers, WorkerGrid(workers)):
+            curve = SpeedupCurve.from_times(grid, times, baseline_workers=baseline)
+            expected = reference_derivation(
+                workers, times, times[workers.index(baseline)], baseline
+            )
+            assert list(curve.speedups) == expected[0]
+            assert list(curve.efficiencies) == expected[1]
+            assert curve.peak_speedup == expected[2]
+            assert curve.optimal_workers == expected[3]
+            assert type(curve.optimal_workers) is int
+            assert curve.is_scalable is expected[4]
