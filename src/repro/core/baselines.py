@@ -20,7 +20,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from repro.core.communication import TorrentBroadcast
 from repro.core.complexity import (
@@ -214,6 +213,8 @@ def _feature_matrix(workers: Sequence[int], features) -> np.ndarray:
 
 
 def _nnls(features: np.ndarray, times: Sequence[float]) -> np.ndarray:
+    import scipy.optimize  # ~0.6 s on first import; only fits pay it
+
     observed = np.asarray(times, dtype=float)
     if observed.ndim != 1 or observed.shape[0] != features.shape[0]:
         raise CalibrationError(

@@ -15,7 +15,6 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from repro.core.errors import CalibrationError
 from repro.core.metrics import mape, r_squared, rmse
@@ -109,6 +108,8 @@ def fit_time_family(
     and returns predicted seconds.  ``bounds`` defaults to non-negative
     parameters, which is the right prior for time coefficients.
     """
+    import scipy.optimize  # ~0.6 s on first import; only fits pay it
+
     initial = np.asarray(initial_params, dtype=float)
     workers_arr, times_arr = _validate(workers, times, initial.size)
     if bounds is None:
@@ -159,6 +160,8 @@ def fit_linear_features(
     the single-node run, or the fit ignores exactly the regime scaling
     studies care about.
     """
+    import scipy.optimize  # ~0.6 s on first import; only fits pay it
+
     if not features:
         raise CalibrationError("need at least one feature")
     workers_arr, times_arr = _validate(workers, times, len(features))

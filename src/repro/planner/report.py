@@ -13,8 +13,12 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from repro.core.errors import PlanError
 
@@ -90,6 +94,128 @@ class PlanPoint:
         return data
 
 
+class CandidateTable(Sequence[PlanPoint]):
+    """Every priced (configuration × workers) candidate, as columns.
+
+    Row ``i`` is configuration ``configs[config[i]]`` — a ``(node, link,
+    topology)`` triple — at ``workers[i]``.  ``workers``, ``time_s``,
+    ``speedup``, ``efficiency``, ``cost_usd`` and ``throughput_per_s``
+    are float64 columns; ``violated`` maps each set constraint, in
+    :data:`~repro.planner.spec.CONSTRAINT_KEYS` order, to the mask of
+    rows that break it.  Counting, filtering, ranking and the frontier
+    read the columns; a row becomes a :class:`PlanPoint` only when it is
+    indexed or iterated, through :meth:`points`.
+    """
+
+    __slots__ = (
+        "configs",
+        "config",
+        "workers",
+        "time_s",
+        "speedup",
+        "efficiency",
+        "cost_usd",
+        "throughput_per_s",
+        "violated",
+        "feasible",
+    )
+
+    def __init__(
+        self,
+        configs: Sequence[tuple[str, str, str]],
+        config: np.ndarray,
+        workers: np.ndarray,
+        time_s: np.ndarray,
+        speedup: np.ndarray,
+        efficiency: np.ndarray,
+        cost_usd: np.ndarray,
+        throughput_per_s: np.ndarray,
+        violated: Mapping[str, np.ndarray],
+    ) -> None:
+        self.configs = tuple(configs)
+        self.config = config
+        self.workers = workers
+        self.time_s = time_s
+        self.speedup = speedup
+        self.efficiency = efficiency
+        self.cost_usd = cost_usd
+        self.throughput_per_s = throughput_per_s
+        self.violated = dict(violated)
+        broken = np.zeros(len(config), dtype=bool)
+        for mask in self.violated.values():
+            broken |= mask
+        self.feasible = ~broken
+
+    def __len__(self) -> int:
+        return len(self.config)
+
+    def __getitem__(self, index):  # type: ignore[override]
+        if isinstance(index, slice):
+            return tuple(self.points(range(len(self))[index]))
+        position = operator.index(index)
+        if position < 0:
+            position += len(self)
+        if not 0 <= position < len(self):
+            raise IndexError("candidate index out of range")
+        return self.points([position])[0]
+
+    def __iter__(self) -> Iterator[PlanPoint]:
+        return iter(self.points(np.arange(len(self))))
+
+    @property
+    def feasible_total(self) -> int:
+        return int(np.count_nonzero(self.feasible))
+
+    def violation_counts(self) -> dict[str, int]:
+        """Rows breaking each constraint, keyed in first-appearance order.
+
+        Rows are read in candidate order and a row's names in
+        :data:`~repro.planner.spec.CONSTRAINT_KEYS` order, so the key
+        order (which JSON exports keep) is the order a row-by-row tally
+        would meet them.
+        """
+        seen = [
+            (int(np.argmax(mask)), position, name, int(np.count_nonzero(mask)))
+            for position, (name, mask) in enumerate(self.violated.items())
+            if mask.any()
+        ]
+        return {name: count for _row, _position, name, count in sorted(seen)}
+
+    def points(self, rows: Sequence[int] | np.ndarray) -> list[PlanPoint]:
+        """The :class:`PlanPoint` of each row position in ``rows``, in order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        names = tuple(self.violated)
+        flags = [mask[rows].tolist() for mask in self.violated.values()]
+        columns = zip(
+            self.config[rows].tolist(),
+            self.workers[rows].tolist(),
+            self.time_s[rows].tolist(),
+            self.speedup[rows].tolist(),
+            self.efficiency[rows].tolist(),
+            self.cost_usd[rows].tolist(),
+            self.throughput_per_s[rows].tolist(),
+            zip(*flags) if flags else [()] * len(rows),
+        )
+        built = []
+        for config, workers, time_s, speedup, efficiency, cost, throughput, hits in columns:
+            node, link, topology = self.configs[config]
+            built.append(
+                PlanPoint(
+                    node=node,
+                    link=link,
+                    topology=topology,
+                    workers=int(workers),
+                    time_s=time_s,
+                    speedup=speedup,
+                    efficiency=efficiency,
+                    cost_usd=cost,
+                    throughput_per_s=throughput,
+                    violations=tuple(n for n, hit in zip(names, hits) if hit),
+                )
+            )
+        return built
+
+
 @dataclass(frozen=True)
 class Recommendation:
     """The outcome of optimising one capacity plan.
@@ -102,7 +228,9 @@ class Recommendation:
     golden-section continuous optimum of the chosen configuration's
     analytic model (``None`` when refinement is disabled or the model has
     no continuation); ``analytic_optimal_workers`` is the analytic grid
-    argmax of the same configuration — the paper's ``N``.
+    argmax of the same configuration — the paper's ``N``.  ``candidates``
+    is the whole priced :class:`CandidateTable`; it yields
+    :class:`PlanPoint` rows on access.
     """
 
     plan: str
@@ -113,7 +241,7 @@ class Recommendation:
     constraints: dict
     chosen: PlanPoint | None
     pareto: tuple[PlanPoint, ...]
-    candidates: tuple[PlanPoint, ...]
+    candidates: CandidateTable
     analytic_optimal_workers: int | None = None
     refined_workers: float | None = None
     knee_workers: int | None = None
@@ -141,7 +269,7 @@ class Recommendation:
             "marginal_speedup_per_usd": [dict(row) for row in self.marginal],
             "sensitivity": [dict(row) for row in self.sensitivity],
             "candidates_total": len(self.candidates),
-            "feasible_total": sum(1 for p in self.candidates if p.feasible),
+            "feasible_total": self.candidates.feasible_total,
             "violation_counts": dict(self.violation_counts),
         }
 

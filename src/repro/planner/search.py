@@ -8,12 +8,14 @@ The pipeline:
    point, chunked task-graph scheduling (:mod:`repro.sched`) with
    process-pool parallelism for expensive backends, content-hash disk
    caching, and bit-identical serial vs pooled payloads.
-2. Each (configuration × worker count) pair becomes a priced
-   :class:`~repro.planner.report.PlanPoint`; constraints mark violations.
-3. The objective picks the recommended point among the feasible ones
+2. Each (configuration × worker count) pair becomes a priced row of one
+   :class:`~repro.planner.report.CandidateTable` (float64 columns);
+   constraint masks mark violations.
+3. The objective picks the recommended row among the feasible ones
    (deterministic total order — ties can never depend on evaluation
-   order), and :func:`~repro.planner.pareto.pareto_frontier` reports
-   every defensible alternative on (cost, time).
+   order), and :func:`~repro.planner.pareto.frontier_indices` reports
+   every defensible alternative on (cost, time).  Only the rows a report
+   shows become :class:`~repro.planner.report.PlanPoint` objects.
 4. The chosen configuration's *analytic* model is refined beyond the
    grid with golden-section search
    (:func:`~repro.core.scaling.refine_optimal_workers`), its
@@ -30,11 +32,13 @@ from __future__ import annotations
 import time as _time
 from collections.abc import Mapping
 
+import numpy as np
+
 from repro.core.errors import ModelError, PlanError
 from repro.core.scaling import refine_optimal_workers
 from repro.core.speedup import SpeedupCurve
-from repro.planner.pareto import pareto_frontier
-from repro.planner.report import PlanPoint, Recommendation
+from repro.planner.pareto import frontier_indices
+from repro.planner.report import CandidateTable, PlanPoint, Recommendation
 from repro.planner.spec import PlanSpec, derived_scenario
 from repro.scenarios.compile import apply_overrides, compile_scenario, resolve_hardware
 from repro.scenarios.spec import ScenarioSpec
@@ -87,25 +91,36 @@ def point_cost_usd(
 
 
 def _cost_usd(
-    price: float, shared_memory: bool, runs: int, workers: int, time_s: float
-) -> float:
-    """The one pricing formula, over a node's already-resolved price."""
+    price: float, shared_memory: bool, runs: float, workers, time_s
+):
+    """The one pricing formula, over a node's already-resolved price.
+
+    Elementwise: ``workers`` and ``time_s`` may be scalars or float64
+    columns, and numpy's ``*`` and ``/`` give the same bits per element
+    as the scalar form does.
+    """
     hours = time_s * runs / 3600.0
     if shared_memory:
         return price * hours  # whole machine, however many cores run
     return workers * price * hours
 
 
-def _candidate_points(
+def _candidate_table(
     plan: PlanSpec, scenario: ScenarioSpec, result: SweepResult
-) -> list[PlanPoint]:
-    """Price and constraint-check every (configuration × workers) pair."""
+) -> CandidateTable:
+    """Price and constraint-check every (configuration × workers) pair.
+
+    One configuration (sweep point) at a time, each priced over its whole
+    worker grid at once.
+    """
     base_node = plan.scenario.hardware.node or ""
     base_link = plan.scenario.hardware.link or ""
     base_topology = str(plan.scenario.algorithm.params_dict.get("topology", ""))
     if plan.scenario.algorithm.kind == "bsp" and not base_topology:
         base_topology = "tree"  # the bsp kind's documented default
-    candidates: list[PlanPoint] = []
+    runs = float(plan.runs)
+    configs: list[tuple[str, str, str]] = []
+    parts: list[tuple[np.ndarray, ...]] = []
     for point in result.points:
         overrides = point["overrides"]
         node = str(overrides.get("node", base_node))
@@ -121,49 +136,80 @@ def _candidate_points(
         )
         # One catalog lookup per configuration, not per worker count.
         price = plan.price_per_node_hour(node)
-        shared_memory = plan.node_is_shared_memory(node)
-        for n, t, s, e in zip(
-            point["workers"],
-            point["times_s"],
-            point["speedups"],
-            point["efficiencies"],
-        ):
-            cost = _cost_usd(price, shared_memory, plan.runs, int(n), float(t))
-            violations = plan.constraints.violations(float(t), cost, float(e))
-            candidates.append(
-                PlanPoint(
-                    node=node,
-                    link=link,
-                    topology=topology,
-                    workers=int(n),
-                    time_s=float(t),
-                    speedup=float(s),
-                    efficiency=float(e),
-                    cost_usd=cost,
-                    throughput_per_s=units / float(t),
-                    violations=violations,
-                )
+        workers = np.asarray(point["workers"], dtype=np.float64)
+        times = np.asarray(point["times_s"], dtype=np.float64)
+        with np.errstate(all="ignore"):  # overflow is caught just below
+            cost = _cost_usd(
+                price, plan.node_is_shared_memory(node), runs, workers, times
             )
-    return candidates
+            throughput = units / times
+        if not (np.isfinite(cost).all() and np.isfinite(throughput).all()):
+            raise PlanError(
+                f"plan {plan.name!r}: configuration node={node!r}"
+                f" link={link!r} topology={topology!r} prices to a"
+                " non-finite cost or throughput; lower 'runs' or the price"
+            )
+        configs.append((node, link, topology))
+        parts.append(
+            (
+                workers,
+                times,
+                np.asarray(point["speedups"], dtype=np.float64),
+                np.asarray(point["efficiencies"], dtype=np.float64),
+                cost,
+                throughput,
+            )
+        )
+    workers, time_s, speedup, efficiency, cost_usd, throughput_per_s = (
+        np.concatenate(column) for column in zip(*parts)
+    )
+    return CandidateTable(
+        configs=configs,
+        config=np.repeat(np.arange(len(configs)), [len(part[0]) for part in parts]),
+        workers=workers,
+        time_s=time_s,
+        speedup=speedup,
+        efficiency=efficiency,
+        cost_usd=cost_usd,
+        throughput_per_s=throughput_per_s,
+        violated=plan.constraints.violation_masks(time_s, cost_usd, efficiency),
+    )
 
 
-def _objective_key(objective: str):
-    """A deterministic total order: the objective, then stable tie-breaks.
+def _objective_choice(
+    objective: str, table: CandidateTable, rows: np.ndarray
+) -> int:
+    """The objective's pick among ``rows``: a deterministic total order.
 
     Ties always break toward fewer dollars, then fewer seconds, then
-    fewer machines, then lexicographic configuration — never toward
-    whatever order the pool happened to finish in.
+    fewer machines, then lexicographic configuration (node, link,
+    topology) — never toward whatever order the pool happened to finish
+    in.  Strings compare by their rank in ``sorted()``; ``np.lexsort``
+    is stable, so exact duplicates keep candidate order.
     """
-    def config_key(point: PlanPoint):
-        return (point.workers, point.node, point.link, point.topology)
-
     if objective == "min-time":
-        return lambda p: (p.time_s, p.cost_usd) + config_key(p)
-    if objective == "min-cost":
-        return lambda p: (p.cost_usd, p.time_s) + config_key(p)
-    if objective == "max-throughput":
-        return lambda p: (-p.throughput_per_s, p.cost_usd) + config_key(p)
-    raise PlanError(f"unknown objective {objective!r}")  # pragma: no cover
+        primary, secondary = table.time_s, table.cost_usd
+    elif objective == "min-cost":
+        primary, secondary = table.cost_usd, table.time_s
+    elif objective == "max-throughput":
+        primary, secondary = -table.throughput_per_s, table.cost_usd
+    else:  # pragma: no cover
+        raise PlanError(f"unknown objective {objective!r}")
+    config = table.config[rows]
+    ranks = []
+    for axis in range(3):  # node, link, topology
+        names = [entry[axis] for entry in table.configs]
+        order = {name: rank for rank, name in enumerate(sorted(set(names)))}
+        ranks.append(np.array([order[name] for name in names])[config])
+    keys = (
+        ranks[2],
+        ranks[1],
+        ranks[0],
+        table.workers[rows],
+        secondary[rows],
+        primary[rows],
+    )
+    return int(rows[np.lexsort(keys)[0]])
 
 
 def _chosen_overrides(chosen: PlanPoint, plan: PlanSpec) -> dict[str, object]:
@@ -178,23 +224,25 @@ def _chosen_overrides(chosen: PlanPoint, plan: PlanSpec) -> dict[str, object]:
     return overrides
 
 
-def _marginal_rows(chosen_config: list[PlanPoint]) -> tuple[dict, ...]:
+def _marginal_rows(
+    workers: list[int], speedups: list[float], costs: list[float]
+) -> tuple[dict, ...]:
     """Marginal speedup per dollar along the chosen configuration's grid.
 
-    One row per grid step: what the next increment of machines buys
-    (Δspeedup) and costs (Δcost for the plan's runs).  ``speedup_per_usd``
-    is omitted (None) when the step does not cost money — past the knee a
-    step can even *save* money by finishing faster.
+    One row per grid step (the columns are in ascending worker order):
+    what the next increment of machines buys (Δspeedup) and costs (Δcost
+    for the plan's runs).  ``speedup_per_usd`` is omitted (None) when the
+    step does not cost money — past the knee a step can even *save*
+    money by finishing faster.
     """
-    ordered = sorted(chosen_config, key=lambda p: p.workers)
     rows = []
-    for before, after in zip(ordered, ordered[1:]):
-        delta_speedup = after.speedup - before.speedup
-        delta_cost = after.cost_usd - before.cost_usd
+    for step in range(1, len(workers)):
+        delta_speedup = speedups[step] - speedups[step - 1]
+        delta_cost = costs[step] - costs[step - 1]
         rows.append(
             {
-                "from_workers": before.workers,
-                "to_workers": after.workers,
+                "from_workers": workers[step - 1],
+                "to_workers": workers[step],
                 "delta_speedup": delta_speedup,
                 "delta_cost_usd": delta_cost,
                 "speedup_per_usd": (
@@ -274,21 +322,12 @@ def run_plan(
     sweep_runner = runner or SweepRunner()
     result = sweep_runner.run(scenario)
 
-    candidates = _candidate_points(plan, scenario, result)
-    feasible = [point for point in candidates if point.feasible]
-    violation_counts: dict[str, int] = {}
-    for point in candidates:
-        for name in point.violations:
-            violation_counts[name] = violation_counts.get(name, 0) + 1
-
-    frontier_input = [
-        {"cost_usd": p.cost_usd, "time_s": p.time_s, "_index": i}
-        for i, p in enumerate(candidates)
-        if p.feasible
+    table = _candidate_table(plan, scenario, result)
+    feasible = np.flatnonzero(table.feasible)
+    frontier = feasible[
+        frontier_indices(table.cost_usd[feasible], table.time_s[feasible])
     ]
-    pareto = tuple(
-        candidates[entry["_index"]] for entry in pareto_frontier(frontier_input)
-    )
+    pareto = tuple(table.points(frontier))
 
     chosen: PlanPoint | None = None
     analytic_optimal = None
@@ -296,8 +335,9 @@ def run_plan(
     knee = None
     marginal: tuple[dict, ...] = ()
     sensitivity: tuple[dict, ...] = ()
-    if feasible:
-        chosen = min(feasible, key=_objective_key(plan.objective))
+    if feasible.size:
+        best = _objective_choice(plan.objective, table, feasible)
+        (chosen,) = table.points([best])
         overrides = _chosen_overrides(chosen, plan)
         point_spec = apply_overrides(scenario, overrides)
         # The continuous-domain questions are answered on the analytic
@@ -315,25 +355,21 @@ def run_plan(
                 )
             except ModelError:
                 refined = None  # no continuation (tabulated / Monte-Carlo)
-        chosen_config = sorted(
-            (
-                p
-                for p in candidates
-                if (p.node, p.link, p.topology)
-                == (chosen.node, chosen.link, chosen.topology)
-            ),
-            key=lambda p: p.workers,
-        )
+        rows = np.flatnonzero(table.config == table.config[best])
+        rows = rows[np.argsort(table.workers[rows], kind="stable")]
+        workers = [int(n) for n in table.workers[rows].tolist()]
         # One knee definition for the whole codebase: rebuild the chosen
         # configuration's curve (baseline from the grid, so the speedups
         # are bit-identical to the stored ones) and ask it.
         chosen_curve = SpeedupCurve.from_times(
-            [p.workers for p in chosen_config],
-            [p.time_s for p in chosen_config],
+            workers,
+            table.time_s[rows].tolist(),
             baseline_workers=point_spec.baseline_workers,
         )
         knee = chosen_curve.knee(plan.knee_fraction)
-        marginal = _marginal_rows(chosen_config)
+        marginal = _marginal_rows(
+            workers, table.speedup[rows].tolist(), table.cost_usd[rows].tolist()
+        )
         sensitivity = _sensitivity_rows(point_spec, plan)
 
     return Recommendation(
@@ -345,18 +381,18 @@ def run_plan(
         constraints=plan.constraints.to_dict(),
         chosen=chosen,
         pareto=pareto,
-        candidates=tuple(candidates),
+        candidates=table,
         analytic_optimal_workers=analytic_optimal,
         refined_workers=refined,
         knee_workers=knee,
         knee_fraction=plan.knee_fraction,
         marginal=marginal,
         sensitivity=sensitivity,
-        violation_counts=violation_counts,
+        violation_counts=table.violation_counts(),
         stats={
             **result.stats,
             "configurations": len(result.points),
-            "candidate_points": len(candidates),
+            "candidate_points": len(table),
             "planner_elapsed_s": _time.perf_counter() - started,
         },
     )

@@ -51,6 +51,8 @@ from pathlib import Path
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.errors import PlanError, ReproError
 from repro.hardware import catalog
 from repro.hardware.specs import LinkSpec, NodeSpec, SharedMemoryMachineSpec
@@ -129,22 +131,33 @@ class Constraints:
             if getattr(self, key) is not None
         }
 
+    def violation_masks(
+        self, time_s: np.ndarray, cost_usd: np.ndarray, efficiency: np.ndarray
+    ) -> dict[str, np.ndarray]:
+        """Per set constraint, the boolean mask of candidates that break it.
+
+        Keys come in :data:`CONSTRAINT_KEYS` declaration order, so every
+        name list read from the masks is deterministic.
+        """
+        masks: dict[str, np.ndarray] = {}
+        if self.deadline_s is not None:
+            masks["deadline_s"] = np.asarray(time_s) > self.deadline_s
+        if self.budget_usd is not None:
+            masks["budget_usd"] = np.asarray(cost_usd) > self.budget_usd
+        if self.min_efficiency is not None:
+            masks["min_efficiency"] = np.asarray(efficiency) < self.min_efficiency
+        return masks
+
     def violations(
         self, time_s: float, cost_usd: float, efficiency: float
     ) -> tuple[str, ...]:
-        """Names of the constraints a candidate point breaks.
+        """Names of the constraints one candidate point breaks.
 
         Always in :data:`CONSTRAINT_KEYS` declaration order, so the
         tuple (and everything serialised from it) is deterministic.
         """
-        broken = []
-        if self.deadline_s is not None and time_s > self.deadline_s:
-            broken.append("deadline_s")
-        if self.budget_usd is not None and cost_usd > self.budget_usd:
-            broken.append("budget_usd")
-        if self.min_efficiency is not None and efficiency < self.min_efficiency:
-            broken.append("min_efficiency")
-        return tuple(broken)
+        masks = self.violation_masks(time_s, cost_usd, efficiency)
+        return tuple(name for name, broken in masks.items() if broken)
 
 
 @dataclass(frozen=True)
@@ -427,6 +440,12 @@ def parse_plan(data: Mapping) -> PlanSpec:
     runs = document.get("runs", 1)
     if isinstance(runs, bool) or not isinstance(runs, int) or runs < 1:
         raise PlanError(f"'runs' must be a positive integer, got {runs!r}")
+    try:
+        float(runs)  # pricing multiplies seconds by runs as a float
+    except OverflowError:
+        raise PlanError(
+            f"'runs' must fit in a float, got a {runs.bit_length()}-bit integer"
+        ) from None
 
     refine = document.get("refine", True)
     if not isinstance(refine, bool):

@@ -1,6 +1,11 @@
 """Tests for repro.core.calibration."""
 
+import ast
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,3 +98,41 @@ class TestCompareModels:
     def test_empty_candidates_rejected(self):
         with pytest.raises(CalibrationError):
             compare_models({}, [1], [1.0])
+
+
+class TestLazyScipyLint:
+    """scipy is imported by the fits that use it, never at import time."""
+
+    def test_scipy_imported_only_inside_functions(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        eager = []
+        for path in src.rglob("*.py"):
+            tree = ast.parse(path.read_text())
+            nested = {
+                id(node)
+                for function in ast.walk(tree)
+                if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+                for node in ast.walk(function)
+            }
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""]
+                else:
+                    continue
+                if any(m.split(".")[0] == "scipy" for m in modules) and id(node) not in nested:
+                    eager.append(f"{path.relative_to(src)}:{node.lineno}")
+        assert eager == []
+
+    def test_entry_points_do_not_load_scipy(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        probe = (
+            "import sys, repro.cli, repro.service.app, repro.planner.search;"
+            " print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"

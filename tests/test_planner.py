@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,8 +11,11 @@ from hypothesis import strategies as st
 from repro.cli import main
 from repro.core.errors import PlanError
 from repro.core.scaling import refine_optimal_workers
+from repro.core.speedup import SpeedupCurve
 from repro.planner import (
+    OBJECTIVES,
     Constraints,
+    PlanPoint,
     builtin_plan_names,
     derived_scenario,
     dominates,
@@ -24,6 +28,8 @@ from repro.planner import (
     run_plan,
     work_units_per_run,
 )
+from repro.planner.report import CandidateTable
+from repro.scenarios.compile import apply_overrides
 from repro.scenarios.sweep import SweepRunner
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -125,6 +131,20 @@ class TestPlanSpecValidation:
     def test_bad_runs_rejected(self):
         with pytest.raises(PlanError, match="'runs'"):
             parse_plan(minimal_plan(runs=0))
+
+    def test_runs_beyond_float_range_rejected(self):
+        with pytest.raises(PlanError, match="'runs' must fit in a float"):
+            parse_plan(minimal_plan(runs=10**400))
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"prices": {"xeon-e3-1240": 1e308}}, {"runs": 10**308}],
+        ids=["price", "runs"],
+    )
+    def test_non_finite_cost_rejected(self, change):
+        plan = parse_plan(minimal_plan(**change))
+        with pytest.raises(PlanError, match="non-finite cost or throughput"):
+            run_plan(plan, runner=serial_runner())
 
     def test_knee_fraction_over_one_rejected(self):
         with pytest.raises(PlanError, match="knee_fraction"):
@@ -438,6 +458,230 @@ class TestCostModel:
             "min_efficiency",
         )
         assert constraints.violations(0.5, 1.0, 0.9) == ()
+
+
+def reference_objective_key(objective: str):
+    """The objective's total order over PlanPoints, as a ``min`` key."""
+
+    def config_key(point):
+        return (point.workers, point.node, point.link, point.topology)
+
+    if objective == "min-time":
+        return lambda p: (p.time_s, p.cost_usd) + config_key(p)
+    if objective == "min-cost":
+        return lambda p: (p.cost_usd, p.time_s) + config_key(p)
+    return lambda p: (-p.throughput_per_s, p.cost_usd) + config_key(p)
+
+
+def reference_candidates(plan, runner) -> list[PlanPoint]:
+    """Every candidate priced one PlanPoint at a time, in sweep order."""
+    scenario = derived_scenario(plan)
+    hardware = plan.scenario.hardware
+    base_topology = str(plan.scenario.algorithm.params_dict.get("topology", ""))
+    if plan.scenario.algorithm.kind == "bsp" and not base_topology:
+        base_topology = "tree"
+    limits = plan.constraints
+    points = []
+    for point in runner.run(scenario).points:
+        overrides = point["overrides"]
+        node = str(overrides.get("node", hardware.node or ""))
+        link = str(overrides.get("link", hardware.link or ""))
+        topology = str(overrides.get("topology", base_topology))
+        algorithm = apply_overrides(scenario, overrides).algorithm
+        units = work_units_per_run(algorithm.kind, algorithm.params_dict)
+        price = plan.price_per_node_hour(node)
+        shared = plan.node_is_shared_memory(node)
+        for n, t, s, e in zip(
+            point["workers"], point["times_s"], point["speedups"], point["efficiencies"]
+        ):
+            hours = float(t) * plan.runs / 3600.0
+            cost = price * hours if shared else int(n) * price * hours
+            broken = []
+            if limits.deadline_s is not None and float(t) > limits.deadline_s:
+                broken.append("deadline_s")
+            if limits.budget_usd is not None and cost > limits.budget_usd:
+                broken.append("budget_usd")
+            if limits.min_efficiency is not None and float(e) < limits.min_efficiency:
+                broken.append("min_efficiency")
+            points.append(
+                PlanPoint(
+                    node=node,
+                    link=link,
+                    topology=topology,
+                    workers=int(n),
+                    time_s=float(t),
+                    speedup=float(s),
+                    efficiency=float(e),
+                    cost_usd=cost,
+                    throughput_per_s=units / float(t),
+                    violations=tuple(broken),
+                )
+            )
+    return points
+
+
+def reference_frontier(feasible: list[PlanPoint]) -> list[PlanPoint]:
+    """The non-dominated feasible points by brute force, in frontier order."""
+    if not feasible:
+        return []
+    cost = np.array([p.cost_usd for p in feasible])
+    time = np.array([p.time_s for p in feasible])
+    # dominated[j]: some i is no worse on both axes and better on one.
+    dominated = (
+        (cost[:, None] <= cost[None, :])
+        & (time[:, None] <= time[None, :])
+        & ((cost[:, None] < cost[None, :]) | (time[:, None] < time[None, :]))
+    ).any(axis=0)
+    kept = [i for i in range(len(feasible)) if not dominated[i]]
+    kept.sort(key=lambda i: (feasible[i].cost_usd, feasible[i].time_s, i))
+    return [feasible[i] for i in kept]
+
+
+def reference_payload(plan, recommendation, candidates: list[PlanPoint]) -> dict:
+    """``recommendation.payload()`` with every candidate-derived key recomputed."""
+    feasible = [p for p in candidates if p.feasible]
+    counts: dict[str, int] = {}
+    for point in candidates:
+        for name in point.violations:
+            counts[name] = counts.get(name, 0) + 1
+    payload = dict(recommendation.payload())
+    payload["pareto"] = [p.to_dict() for p in reference_frontier(feasible)]
+    payload["candidates_total"] = len(candidates)
+    payload["feasible_total"] = len(feasible)
+    payload["violation_counts"] = counts
+    payload["recommendation"] = None
+    if feasible:
+        chosen = min(feasible, key=reference_objective_key(plan.objective))
+        payload["recommendation"] = chosen.to_dict()
+        config = sorted(
+            (
+                p
+                for p in candidates
+                if (p.node, p.link, p.topology) == (chosen.node, chosen.link, chosen.topology)
+            ),
+            key=lambda p: p.workers,
+        )
+        payload["marginal_speedup_per_usd"] = [
+            {
+                "from_workers": before.workers,
+                "to_workers": after.workers,
+                "delta_speedup": after.speedup - before.speedup,
+                "delta_cost_usd": after.cost_usd - before.cost_usd,
+                "speedup_per_usd": (
+                    (after.speedup - before.speedup) / (after.cost_usd - before.cost_usd)
+                    if after.cost_usd - before.cost_usd > 0
+                    else None
+                ),
+            }
+            for before, after in zip(config, config[1:])
+        ]
+        payload["knee_workers"] = SpeedupCurve.from_times(
+            [p.workers for p in config],
+            [p.time_s for p in config],
+            baseline_workers=derived_scenario(plan).baseline_workers,
+        ).knee(plan.knee_fraction)
+    return payload
+
+
+@st.composite
+def varied_plans(draw):
+    """A builtin plan with drawn constraints, runs, prices and objective."""
+    document = load_builtin_plan(draw(st.sampled_from(builtin_plan_names()))).to_dict()
+    document["objective"] = draw(st.sampled_from(OBJECTIVES))
+    document["runs"] = draw(st.integers(min_value=1, max_value=10**6))
+    constraints = {}
+    if draw(st.booleans()):
+        constraints["deadline_s"] = draw(st.floats(min_value=0.01, max_value=1e4))
+    if draw(st.booleans()):
+        constraints["budget_usd"] = draw(st.floats(min_value=0.01, max_value=1e6))
+    if draw(st.booleans()):
+        constraints["min_efficiency"] = draw(st.floats(min_value=0.01, max_value=1.0))
+    document["constraints"] = constraints
+    search = document.setdefault("search", {})
+    nodes = list(search.get("nodes", [document["scenario"]["hardware"]["node"]]))
+    if draw(st.booleans()):
+        nodes.append("dl980")  # shared memory: priced per machine
+        search["nodes"] = nodes
+    price = st.floats(min_value=0.01, max_value=50.0)
+    document["prices"] = {
+        node: draw(price) for node in nodes if node == "dl980" or draw(st.booleans())
+    }
+    return parse_plan(document)
+
+
+class TestColumnarMatchesReference:
+    """The candidate table agrees with pricing one PlanPoint at a time."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(varied_plans())
+    def test_payload_and_rows_match_reference(self, plan):
+        runner = serial_runner()
+        recommendation = run_plan(plan, runner=runner)
+        candidates = reference_candidates(plan, runner)
+        expected = reference_payload(plan, recommendation, candidates)
+        assert json.dumps(recommendation.payload()) == json.dumps(expected)
+        assert recommendation.frontier_payload() == expected["pareto"]
+        assert list(recommendation.violation_counts.items()) == list(
+            expected["violation_counts"].items()
+        )
+        if recommendation.chosen is not None:
+            assert recommendation.chosen.to_dict() == expected["recommendation"]
+        assert list(recommendation.candidates) == candidates
+        assert recommendation.candidates[-1] == candidates[-1]
+        assert recommendation.candidate_rows() == [
+            {**p.to_dict(), "violations": ";".join(p.violations)} for p in candidates
+        ]
+
+    def test_violation_counts_keep_first_appearance_order(self):
+        # Row 0 breaks only the budget, so a row-by-row tally meets
+        # budget_usd before deadline_s, against CONSTRAINT_KEYS order.
+        column = np.array([1.0, 2.0])
+        table = CandidateTable(
+            configs=[("xeon-e3-1240", "1gbe", "tree")],
+            config=np.array([0, 0]),
+            workers=column,
+            time_s=column,
+            speedup=column,
+            efficiency=column,
+            cost_usd=column,
+            throughput_per_s=column,
+            violated={
+                "deadline_s": np.array([False, True]),
+                "budget_usd": np.array([True, True]),
+            },
+        )
+        assert list(table.violation_counts().items()) == [
+            ("budget_usd", 2),
+            ("deadline_s", 1),
+        ]
+        assert [p.violations for p in table] == [
+            ("budget_usd",),
+            ("deadline_s", "budget_usd"),
+        ]
+
+    @pytest.mark.parametrize("name", ["plan-bp-budget", "plan-gd-deadline"])
+    @pytest.mark.parametrize("suffix", [".json", ".csv"])
+    def test_exports_match_golden_bytes(self, tmp_path, name, suffix):
+        recommendation = run_plan(load_builtin_plan(name), runner=serial_runner())
+        text = recommendation.export(tmp_path / f"plan{suffix}").read_text()
+        if suffix == ".json":
+            # Everything but the trailing timing stats, byte for byte.
+            text = text[: text.index(',\n  "stats": ')] + "\n}\n"
+        golden = GOLDEN_DIR / f"{name}.export{suffix}"
+        assert text == golden.read_text()
+
+
+class TestPlannerLint:
+    def test_plan_points_are_built_in_one_place(self):
+        # Candidates live as table columns; a second PlanPoint builder
+        # would bring back per-candidate objects on the hot path.
+        src = Path(__file__).resolve().parent.parent / "src"
+        owners = {
+            path.relative_to(src).as_posix(): path.read_text().count("PlanPoint(")
+            for path in src.rglob("*.py")
+            if "PlanPoint(" in path.read_text()
+        }
+        assert owners == {"repro/planner/report.py": 1}
 
 
 class TestPlannerExports:

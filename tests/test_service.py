@@ -83,6 +83,40 @@ OVERFLOWING_POINT = {
 }
 
 
+#: A small two-node plan; OVERFLOWING_PLAN_CASES each change one field so
+#: that pricing leaves the float range.
+PRICED_PLAN = {
+    "plan": 1,
+    "name": "service-test-plan-overflow",
+    "scenario": {
+        "name": "service-test-plan-bsp",
+        "hardware": {"node": "xeon-e3-1240", "link": "1gbe"},
+        "algorithm": {
+            "kind": "bsp",
+            "params": {
+                "operations_per_superstep": 1e13,
+                "payload_bits": 1e9,
+                "topology": "tree",
+            },
+        },
+        "workers": [1, 2, 4, 8],
+    },
+    "search": {"nodes": ["xeon-e3-1240", "nvidia-k40"]},
+    "objective": "min-cost",
+    "constraints": {"deadline_s": 100.0},
+    "runs": 10,
+}
+
+OVERFLOWING_PLAN_CASES = {
+    "price": (
+        {"prices": {"xeon-e3-1240": 1e308, "nvidia-k40": 1e308}},
+        "non-finite cost or throughput",
+    ),
+    "runs-product": ({"runs": 10**308}, "non-finite cost or throughput"),
+    "runs-int": ({"runs": 10**400}, "'runs' must fit in a float"),
+}
+
+
 @pytest.fixture(scope="module")
 def server(tmp_path_factory):
     cache_dir = tmp_path_factory.mktemp("service-cache")
@@ -319,6 +353,28 @@ class TestEndToEndRoundTrip:
         assert excinfo.value.status == 400
         assert excinfo.value.code == "bad-request"
         assert "times must be finite, got inf at 1 workers" in str(excinfo.value)
+
+
+    @pytest.mark.parametrize(
+        "change,message",
+        OVERFLOWING_PLAN_CASES.values(),
+        ids=OVERFLOWING_PLAN_CASES.keys(),
+    )
+    def test_overflowing_plan_costs_are_400(self, client, change, message):
+        with pytest.raises(ServiceClientError) as excinfo:
+            client._request(
+                "POST", "/v1/plan", {"plan": {**PRICED_PLAN, **change}, "mode": "sync"}
+            )
+        assert excinfo.value.status == 400
+        assert excinfo.value.code == "bad-request"
+        assert message in str(excinfo.value)
+
+    def test_overflowing_plan_cost_fails_its_job(self, client):
+        change, message = OVERFLOWING_PLAN_CASES["price"]
+        with pytest.raises(ServiceClientError) as excinfo:
+            client.plan({**PRICED_PLAN, **change}, mode="async", timeout_s=30.0)
+        assert "failed: PlanError" in str(excinfo.value)
+        assert message in str(excinfo.value)
 
 
 class TestHotPathCaching:
